@@ -3,15 +3,17 @@
 Both checks return explicit witnesses: the canonically smallest uncovered
 k-set, or per-member faces (a proper subset contained in no other member,
 minimal by size then mask order). Witness canonicality makes runs
-byte-reproducible.
+byte-reproducible. Both read the family's incidence table
+(``incidence_columns``): the members containing a set are the AND of its
+elements' columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bitsets import elements_of, iter_fixed_size_masks, iter_submasks
-from .families import SetFamily
+from .bitsets import elements_of, spread
+from .families import SetFamily, incidence_columns
 from .vc import vc_dimension
 
 
@@ -50,45 +52,72 @@ class FaceReport:
         }
 
 
+def _first_meeting(columns: list[int], r: int, start: int, floor: int) -> int | None:
+    """Colex-smallest r-subset of the columns' indices whose AND reaches `floor`.
+
+    The AND runs over the chosen columns, starting from `start`; `floor`
+    must lie inside every such AND, so it is the least value one can take.
+    Depth-first from the top element down, each level in ascending order,
+    so subsets are met in colex order. ANDs only shrink as a subset grows:
+    once a prefix reaches the floor every completion does, and the
+    smallest completion adds the lowest remaining indices.
+    """
+    if start == floor:
+        return (1 << r) - 1
+
+    def dfs(acc: int, below: int, need: int) -> int | None:
+        for i in range(need - 1, below):
+            meet = acc & columns[i]
+            if meet == floor:
+                return (1 << i) | ((1 << (need - 1)) - 1)
+            if need > 1:
+                rest = dfs(meet, i, need - 1)
+                if rest is not None:
+                    return rest | (1 << i)
+        return None
+
+    return dfs(start, len(columns), r) if r else None
+
+
 def is_k_covering(f: SetFamily, k: int) -> CoverReport:
     """Check that every k-subset of [n] lies inside some member.
 
-    Probes run in canonical order with early exit per probe, so a failure
-    reports the canonically smallest uncovered k-set.
+    A k-set is covered iff the AND of its elements' incidence columns is
+    nonzero. k-sets are visited in canonical order, so a failure reports
+    the canonically smallest uncovered k-set.
     """
     if not (1 <= k <= f.n):
         raise ValueError(f"need 1 <= k <= n, got k={k} n={f.n}")
-    members = f.members
-    for probe in iter_fixed_size_masks(f.n, k):
-        if not any(probe & m == probe for m in members):
-            return CoverReport(k=k, holds=False, uncovered=probe)
+    everyone = (1 << len(f.members)) - 1
+    uncovered = _first_meeting(incidence_columns(f), k, everyone, 0)
+    if uncovered is not None:
+        return CoverReport(k=k, holds=False, uncovered=uncovered)
     return CoverReport(k=k, holds=True)
 
 
-def _face_of(member: int, others: list[int]) -> int | None:
-    """Smallest proper subset of `member` contained in no other member."""
-    size = member.bit_count()
-    for r in range(size):
-        for candidate in iter_submasks(member, r):
-            if not any(candidate & o == candidate for o in others):
-                return candidate
-    return None
-
-
 def unique_face(f: SetFamily) -> FaceReport:
-    """Find, per member, a proper subset unique to it; fails on the first member without one."""
+    """Find, per member, a proper subset unique to it; fails on the first member without one.
+
+    A face of member j is a subset whose column AND is exactly {j}; the
+    smallest is searched by size, then in mask order.
+    """
     if not f.members:
         raise ValueError("unique-face check is undefined for the empty family")
+    columns = incidence_columns(f)
+    everyone = (1 << len(f.members)) - 1
     faces: dict[int, int] = {}
     violator = None
-    for i, member in enumerate(f.members):
-        others = [m for j, m in enumerate(f.members) if j != i]
-        face = _face_of(member, others)
-        if face is None:
+    for j, member in enumerate(f.members):
+        elements = elements_of(member)
+        own = [columns[e - 1] for e in elements]
+        for r in range(len(elements)):
+            face = _first_meeting(own, r, everyone, 1 << j)
+            if face is not None:
+                faces[member] = spread(face, elements)
+                break
+        else:
             if violator is None:
                 violator = member
-        else:
-            faces[member] = face
     return FaceReport(holds=violator is None, faces=faces, violator=violator)
 
 

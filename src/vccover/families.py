@@ -76,6 +76,25 @@ class SetFamily:
         return self.uniform_size is not None
 
 
+def incidence_columns(f: SetFamily) -> list[int]:
+    """The family's incidence table, one column per ground element.
+
+    ``columns[i]`` is the bitset of member indices whose member contains
+    element i+1 (bit j stands for ``f.members[j]``). The AND of the columns
+    of a set A is then the set of members containing A. Built in
+    O(sum of member sizes) by walking each member's bits into per-element
+    byte buffers, so no element-by-member loop runs.
+    """
+    buffers = [bytearray((len(f.members) + 7) >> 3) for _ in range(f.n)]
+    for j, member in enumerate(f.members):
+        byte, bit = j >> 3, 1 << (j & 7)
+        while member:
+            low = member & -member
+            buffers[low.bit_length() - 1][byte] |= bit
+            member ^= low
+    return [int.from_bytes(buf, "little") for buf in buffers]
+
+
 def family_from_masks(n: int, masks: Iterable[int]) -> SetFamily:
     """Canonicalize masks (sort, dedupe, detect uniformity) into a SetFamily."""
     if n < 1:

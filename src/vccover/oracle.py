@@ -142,9 +142,9 @@ def _branch_task(args: tuple[Parameters, int, int]) -> tuple[tuple[int, ...] | N
     member = search.universe[branch]
     tracked = search.extend({}, 0, member)
     if tracked is None:
-        return None, 1
+        return None, 0
     result = search.dfs(search.coverage_of[branch], (member,), tracked)
-    return result, search.nodes + 1
+    return result, search.nodes
 
 
 def exists_covering_with_vc_at_most(
@@ -176,12 +176,17 @@ def exists_covering_with_vc_at_most(
     branches = probe_search.candidates_for[0]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         outcomes = list(pool.map(_branch_task, [(params, d, j) for j in branches]))
-    if stats is not None:
-        stats["nodes"] = stats.get("nodes", 0) + sum(nodes for _, nodes in outcomes) + 1
-    for found, _ in outcomes:
+    # Count what the sequential search visits: the root, then each branch
+    # up to and including the first success.
+    nodes = 1
+    found = None
+    for found, branch_nodes in outcomes:
+        nodes += branch_nodes
         if found is not None:
-            return family_from_masks(params.n, found)
-    return None
+            break
+    if stats is not None:
+        stats["nodes"] = stats.get("nodes", 0) + nodes
+    return None if found is None else family_from_masks(params.n, found)
 
 
 @lru_cache(maxsize=65536)

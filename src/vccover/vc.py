@@ -7,16 +7,23 @@ probe is an exhaustive refutation. Probes are drawn only from "active"
 elements (present in some member, absent from some member): an element in
 every member blocks the empty trace, an element in no member blocks the
 full trace, so no other probe can be shattered.
+
+The search reads the family's incidence table (``incidence_columns``: per
+element, the bitset of members containing it). It grows probes depth-first
+in colex order and keeps, per probe, its trace cells, the member bitsets
+realizing each of its 2^|A| traces. Adding an element splits every cell
+with one AND; a probe with an empty cell is pruned with all its
+extensions, because every subset of a shattered set is shattered (Sauer
+1972, Shelah 1972, Pajor 1985). ``shatters`` is the single-probe test.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .bitsets import elements_of, is_within, iter_fixed_size_masks, spread
-from .families import SetFamily
+from .bitsets import elements_of, is_within, spread
+from .families import SetFamily, incidence_columns
 
 
 @dataclass(frozen=True)
@@ -83,49 +90,36 @@ def shatters(f: SetFamily, probe: int) -> bool:
     return _is_shattered(f.members, probe)
 
 
-def _scan_stride(
-    members: tuple[int, ...],
-    positions: tuple[int, ...],
-    size: int,
-    stride: int,
-    n_strides: int,
-) -> int | None:
-    """First shattered size-`size` probe over `positions` in one stride.
+def _first_shattered(columns: list[int], size: int, everyone: int) -> int | None:
+    """Colex-smallest shattered `size`-subset of the columns' indices, or None.
 
-    Probes are enumerated in canonical order, so the first hit within a
-    stride is that stride's minimum.
+    Depth-first from the top element down, each level trying its element
+    in ascending order, so probes are met in colex order and the first hit
+    is the minimum. Adding element i splits every trace cell (the members
+    realizing one trace of the probe so far) into those that contain i and
+    those that do not; an empty half means a missing trace, and since
+    shattered sets are down-closed no extension of that probe can shatter.
     """
-    for idx, compressed in enumerate(iter_fixed_size_masks(len(positions), size)):
-        if idx % n_strides != stride:
-            continue
-        probe = spread(compressed, positions)
-        if _is_shattered(members, probe):
-            return probe
-    return None
 
+    def dfs(cells: list[int], below: int, need: int) -> int | None:
+        for i in range(need - 1, below):
+            column = columns[i]
+            split = []
+            for cell in cells:
+                inside = cell & column
+                if not inside or inside == cell:
+                    break
+                split.append(inside)
+                split.append(cell ^ inside)
+            else:
+                if need == 1:
+                    return 1 << i
+                rest = dfs(split, i, need - 1)
+                if rest is not None:
+                    return rest | (1 << i)
+        return None
 
-def _first_shattered(
-    members: tuple[int, ...],
-    positions: tuple[int, ...],
-    size: int,
-    workers: int,
-) -> int | None:
-    """Canonically smallest shattered probe of the given size, or None.
-
-    With workers > 1 the probe stream is partitioned into strides and the
-    minimum hit wins; the result is identical to the sequential scan.
-    """
-    if workers <= 1 or len(positions) < size:
-        return _scan_stride(members, positions, size, 0, 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        hits = list(
-            pool.map(
-                lambda w: _scan_stride(members, positions, size, w, workers),
-                range(workers),
-            )
-        )
-    real = [h for h in hits if h is not None]
-    return min(real) if real else None
+    return dfs([everyone], len(columns), size)
 
 
 def vc_dimension(f: SetFamily, workers: int = 1) -> VcReport:
@@ -135,23 +129,20 @@ def vc_dimension(f: SetFamily, workers: int = 1) -> VcReport:
     active elements); a shattered set cannot exceed any of these. When the
     scan stops below the cap, the refutation at dimension + 1 is the
     completed exhaustive pass; at the cap it is the counting bound itself.
+    ``workers`` is accepted for interface stability; the search is
+    sequential and its result does not depend on it.
     """
     if not f.members:
         raise ValueError("VC-dimension is undefined for the empty family")
     members = f.members
-    common = members[0]
-    union = 0
-    max_size = 0
-    min_size = f.n + 1
-    for m in members:
-        common &= m
-        union |= m
-        c = m.bit_count()
-        max_size = max(max_size, c)
-        min_size = min(min_size, c)
-    positions = elements_of(union & ~common)
+    everyone = (1 << len(members)) - 1
+    columns = incidence_columns(f)
+    positions = tuple(i + 1 for i, c in enumerate(columns) if 0 < c < everyone)
+    active = [columns[p - 1] for p in positions]
+    sizes = [m.bit_count() for m in members]
+    min_size = min(sizes)
     floor_log2 = len(members).bit_length() - 1
-    cap = min(f.n, max_size, floor_log2, len(positions))
+    cap = min(f.n, max(sizes), floor_log2, len(positions))
     dimension = 0
     witness = 0
     for size in range(1, cap + 1):
@@ -159,10 +150,10 @@ def vc_dimension(f: SetFamily, workers: int = 1) -> VcReport:
             # No member can be disjoint from a probe this large, so the
             # empty trace is unrealizable and nothing of this size shatters.
             break
-        hit = _first_shattered(members, positions, size, workers)
+        hit = _first_shattered(active, size, everyone)
         if hit is None:
             break
-        dimension, witness = size, hit
+        dimension, witness = size, spread(hit, positions)
     return VcReport(dimension=dimension, witness=witness, refuted_size=dimension + 1)
 
 

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitsets import elements_of, full_mask, mask_of
+from .bitsets import MAX_GROUND, elements_of, full_mask, mask_of
 from .covering import is_k_covering, unique_face
 from .constructions import covering_witness_family, full_family, recursive_family
 from .families import Parameters, SetFamily, family_from_masks, write_family
@@ -253,8 +253,8 @@ def verify_main_theorem(k: int, s: int, workers: int = 1) -> MainTheoremReport:
     if not (1 <= k <= s):
         raise ValueError(f"need 1 <= k <= s, got k={k} s={s}")
     n = stabilized_ground_size(k, s)
-    if n > 64:
-        raise ValueError(f"n = {n} beyond tractable witness verification (64)")
+    if n > MAX_GROUND:
+        raise ValueError(f"n = {n} exceeds the maximum ground size {MAX_GROUND}")
     cert = lower_bound_certificate(k, s, n)
     witness = covering_witness_family(k, s, n)
     covering = is_k_covering(witness, k).holds

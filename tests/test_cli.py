@@ -141,6 +141,11 @@ class TestVerifyCli:
         assert proc.returncode == 0
         assert proc.stdout.strip().split("\n")[-1] == "PASS"
 
+    def test_main_beyond_n64(self):
+        proc = run_cli("verify", "main", "-k", "2", "-s", "7")
+        assert proc.returncode == 0
+        assert proc.stdout.strip().split("\n")[-1] == "PASS"
+
     def test_main_json(self):
         payload = json.loads(run_cli("verify", "main", "-k", "2", "-s", "2",
                                      "--format", "json").stdout)

@@ -109,6 +109,12 @@ class TestOracle:
         assert base.value == again.value == threaded.value
         assert base.witness == again.witness == threaded.witness
 
+    def test_node_count_independent_of_workers(self):
+        for triple in [(1, 2, 5), (2, 3, 5), (2, 3, 6)]:
+            params = Parameters(*triple)
+            one = oracle_D(params, workers=1).nodes_explored
+            assert oracle_D(params, workers=8).nodes_explored == one, triple
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             oracle_D(Parameters(1, 2, 3), method="guess")

@@ -152,9 +152,13 @@ class TestMainTheorem:
         assert report.passed
 
     def test_intractable_rejected(self):
-        assert stabilized_ground_size(3, 5) == 93
+        # Only the ground-size ceiling limits the check: (2,7) at n=86 runs,
+        # (3,7) at n=318 exceeds MAX_GROUND = 256.
+        assert stabilized_ground_size(2, 7) == 86
+        assert verify_main_theorem(2, 7).passed
+        assert stabilized_ground_size(3, 7) == 318
         with pytest.raises(ValueError):
-            verify_main_theorem(3, 5)
+            verify_main_theorem(3, 7)
 
     def test_oracle_agreement_at_tiny_parameters(self):
         report = verify_main_theorem(1, 2)
