@@ -103,7 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="feasibility cap on the universe size C(n,s) for oracle search")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker count for partitioned searches (results are identical for any count)")
+                        help="threads for explore rows; vcdim, oracle and verify are sequential and "
+                             "ignore it (results are identical for any count)")
 
     parser = argparse.ArgumentParser(
         prog="vccover",

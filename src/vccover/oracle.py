@@ -8,15 +8,19 @@ Two independent routes:
 * a plain power-set enumeration of every subfamily, kept as a
   cross-check at very small universes.
 
-Both are deterministic: branches and subfamilies run in canonical order,
-and the parallel split merges by branch index, so value and witness never
-depend on scheduling or worker count.
+The branch-and-bound packs the traces of the partial family on every
+(d+1)-probe into one int, a field of pattern bits per probe (see
+`_Search`), so adding a member is one OR and the shattering test for all
+probes is one addition.
+
+Both routes are sequential and deterministic: branches and subfamilies run
+in canonical order, so value, witness and node count never depend on the
+worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,88 +67,63 @@ def _check_cap(params: Parameters, cap: int) -> int:
     return universe_size
 
 
+def _coverage_table(universe: list[int], k_sets: list[int]) -> list[int]:
+    """coverage_of[j]: bitmap of the indices of the k-sets inside universe[j]."""
+    return [
+        sum(1 << i for i, a in enumerate(k_sets) if a & member == a)
+        for member in universe
+    ]
+
+
 class _Search:
-    """Branch-and-bound state for one (k, s, n, d) decision instance."""
+    """Branch-and-bound state for one (k, s, n, d) decision instance.
+
+    The traces of a partial family live in one int with a field of P + 1
+    bits per (d+1)-probe, P = 2^(d+1): bit t of a field is set when some
+    chosen member has trace pattern t on that probe, and the top bit is a
+    guard that stays 0. Adding a member ORs in its precomputed pattern word.
+    A probe is shattered when its P pattern bits are all set, which is
+    exactly when adding 1 at the field's low end carries into its guard;
+    no other field carries, so one addition tests every probe.
+    """
 
     def __init__(self, params: Parameters, d: int):
         k, s, n = params.k, params.s, params.n
         self.universe = list(iter_fixed_size_masks(n, s))
-        self.k_sets = list(iter_fixed_size_masks(n, k))
-        self.all_covered = (1 << len(self.k_sets)) - 1
-        # coverage_of[j]: bitmap of k-set indices inside universe member j
-        self.coverage_of = []
-        for member in self.universe:
-            bits = 0
-            for i, a in enumerate(self.k_sets):
-                if a & member == a:
-                    bits |= 1 << i
-            self.coverage_of.append(bits)
+        k_sets = list(iter_fixed_size_masks(n, k))
+        self.all_covered = (1 << len(k_sets)) - 1
+        self.coverage_of = _coverage_table(self.universe, k_sets)
         self.candidates_for = [
             [j for j, bits in enumerate(self.coverage_of) if bits >> i & 1]
-            for i in range(len(self.k_sets))
+            for i in range(len(k_sets))
         ]
-        self.probes = list(iter_fixed_size_masks(n, d + 1))
-        self.target = 1 << (d + 1)
+        width = (1 << (d + 1)) + 1
+        self.words = [0] * len(self.universe)
+        self.ones = 0
+        for p, probe in enumerate(iter_fixed_size_masks(n, d + 1)):
+            offset = p * width
+            self.ones |= 1 << offset
+            positions = [i for i in range(n) if probe >> i & 1]
+            for j, member in enumerate(self.universe):
+                pattern = sum(1 << b for b, i in enumerate(positions) if member >> i & 1)
+                self.words[j] |= 1 << (offset + pattern)
+        self.guard = self.ones << (width - 1)
         self.nodes = 0
 
-    def extend(
-        self, tracked: dict[int, frozenset[int]], chosen_count: int, member: int
-    ) -> dict[int, frozenset[int]] | None:
-        """Trace bookkeeping after adding `member`; None when a probe shatters.
-
-        A probe absent from `tracked` has met no chosen member yet, so its
-        only trace so far is the empty set; it is instantiated the first
-        time a member intersects it.
-        """
-        new_tracked = dict(tracked)
-        for probe, traces in tracked.items():
-            t = probe & member
-            if t not in traces:
-                grown = traces | {t}
-                if len(grown) == self.target:
-                    return None
-                new_tracked[probe] = grown
-        for probe in self.probes:
-            if probe & member and probe not in tracked:
-                traces = {probe & member}
-                if chosen_count:
-                    traces.add(0)
-                if len(traces) == self.target:
-                    return None
-                new_tracked[probe] = frozenset(traces)
-        return new_tracked
-
-    def dfs(
-        self,
-        covered: int,
-        chosen: tuple[int, ...],
-        tracked: dict[int, frozenset[int]],
-    ) -> tuple[int, ...] | None:
+    def dfs(self, covered: int, chosen: tuple[int, ...], state: int) -> tuple[int, ...] | None:
         self.nodes += 1
         if covered == self.all_covered:
             return chosen
         missing = ~covered & self.all_covered
         first_uncovered = (missing & -missing).bit_length() - 1
         for j in self.candidates_for[first_uncovered]:
-            member = self.universe[j]
-            new_tracked = self.extend(tracked, len(chosen), member)
-            if new_tracked is None:
+            grown = state | self.words[j]
+            if (grown + self.ones) & self.guard:
                 continue
-            result = self.dfs(covered | self.coverage_of[j], chosen + (member,), new_tracked)
+            result = self.dfs(covered | self.coverage_of[j], chosen + (self.universe[j],), grown)
             if result is not None:
                 return result
         return None
-
-
-def _branch_task(args: tuple[Parameters, int, int]) -> tuple[tuple[int, ...] | None, int]:
-    params, d, branch = args
-    search = _Search(params, d)
-    member = search.universe[branch]
-    tracked = search.extend({}, 0, member)
-    if tracked is None:
-        return None, 0
-    result = search.dfs(search.coverage_of[branch], (member,), tracked)
-    return result, search.nodes
 
 
 def exists_covering_with_vc_at_most(
@@ -159,33 +138,17 @@ def exists_covering_with_vc_at_most(
     Exhaustive over subfamilies of the full s-uniform family: depth-first,
     always branching on the canonically smallest uncovered k-set, pruning a
     branch as soon as the partial family shatters any (d+1)-set.
+    ``workers`` is accepted for interface stability; the search is
+    sequential and its result does not depend on it.
     """
     _check_cap(params, cap)
     bound = min(params.s, params.n - params.s)
     if not (0 <= d <= bound):
         raise ValueError(f"need 0 <= d <= min(s, n-s) = {bound}, got d={d}")
-    if workers <= 1:
-        search = _Search(params, d)
-        found = search.dfs(0, (), {})
-        if stats is not None:
-            stats["nodes"] = stats.get("nodes", 0) + search.nodes
-        return None if found is None else family_from_masks(params.n, found)
-    # Parallel split over the top-level branches; merging by branch index
-    # reproduces the sequential result exactly.
-    probe_search = _Search(params, d)
-    branches = probe_search.candidates_for[0]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(_branch_task, [(params, d, j) for j in branches]))
-    # Count what the sequential search visits: the root, then each branch
-    # up to and including the first success.
-    nodes = 1
-    found = None
-    for found, branch_nodes in outcomes:
-        nodes += branch_nodes
-        if found is not None:
-            break
+    search = _Search(params, d)
+    found = search.dfs(0, (), 0)
     if stats is not None:
-        stats["nodes"] = stats.get("nodes", 0) + nodes
+        stats["nodes"] = stats.get("nodes", 0) + search.nodes
     return None if found is None else family_from_masks(params.n, found)
 
 
@@ -200,13 +163,7 @@ def _oracle_enumerate(params: Parameters, cap: int, stats: dict | None) -> tuple
     universe = list(iter_fixed_size_masks(params.n, params.s))
     k_sets = list(iter_fixed_size_masks(params.n, params.k))
     all_covered = (1 << len(k_sets)) - 1
-    coverage_of = []
-    for member in universe:
-        bits = 0
-        for i, a in enumerate(k_sets):
-            if a & member == a:
-                bits |= 1 << i
-        coverage_of.append(bits)
+    coverage_of = _coverage_table(universe, k_sets)
     best_value: int | None = None
     best_members: tuple[int, ...] | None = None
     examined = 0

@@ -26,6 +26,17 @@ FROZEN_VALUES = {
     (2, 4, 5): 1,
 }
 
+# Nodes the branch-and-bound visits on the benchmark's oracle commands
+# (--cap 126): the search order is part of the contract, so a change of
+# state representation must leave these counts exactly as they are.
+BENCH_NODE_COUNTS = {
+    (2, 4, 8): 11_598,
+    (3, 5, 8): 14_571,
+    (2, 6, 9): 17_596,
+    (2, 4, 9): 37_716,
+    (2, 5, 8): 51_608,
+}
+
 
 class TestExistsCovering:
     def test_decision_positive(self):
@@ -114,6 +125,10 @@ class TestOracle:
             params = Parameters(*triple)
             one = oracle_D(params, workers=1).nodes_explored
             assert oracle_D(params, workers=8).nodes_explored == one, triple
+
+    def test_bench_node_counts_pinned(self):
+        for triple, nodes in BENCH_NODE_COUNTS.items():
+            assert oracle_D(Parameters(*triple), cap=126).nodes_explored == nodes, triple
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
