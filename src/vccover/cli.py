@@ -4,48 +4,30 @@ Data goes to stdout (or --out); diagnostics such as node counts and wall
 time go to stderr, so the data stream is byte-reproducible across runs and
 worker counts. Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage
 error, 3 feasibility-cap error.
+
+Each handler imports the library modules it calls, and json only on the
+JSON paths, so a process loads just what its command uses: start-up is
+most of the cost of a short command.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import dataclass
 
 from .bitsets import elements_of
-from .covering import is_k_covering, unique_face
-from .constructions import (
-    cone,
-    covering_witness_family,
-    full_family,
-    hypercube_family,
-    initial_segment_family,
-    product,
-    recursive_family,
-)
 from .families import (
+    DEFAULT_CAP,
     FamilyFormatError,
+    FeasibilityError,
     Parameters,
     SetFamily,
     read_family,
     read_family_json,
     write_family,
     write_family_json,
-)
-from .oracle import DEFAULT_CAP, FeasibilityError, OracleResult, oracle_D
-from .vc import vc_dimension
-from .verify import (
-    explore,
-    lower_bound_certificate,
-    monotonicity_scan,
-    rows_to_csv,
-    stab_upper,
-    surjectivity_scan,
-    upper_bound_certificate,
-    verify_main_theorem,
-    verify_prop_const,
 )
 
 EXIT_OK = 0
@@ -75,7 +57,11 @@ class RunConfig:
 
 
 def _load_family(path: str) -> SetFamily:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
     if text.lstrip().startswith("{"):
         return read_family_json(text)
     return read_family(text)
@@ -103,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="feasibility cap on the universe size C(n,s) for oracle search")
     common.add_argument("--workers", type=int, default=1,
-                        help="threads for explore rows; vcdim, oracle and verify are sequential and "
-                             "ignore it (results are identical for any count)")
+                        help="accepted for compatibility and ignored: every command runs "
+                             "sequentially, so results are identical for any count")
 
     parser = argparse.ArgumentParser(
         prog="vccover",
@@ -184,7 +170,23 @@ def _parse_n_range(text: str) -> range:
     return range(v, v + 1)
 
 
+def _json_line(payload: object) -> str:
+    import json
+
+    return json.dumps(payload) + "\n"
+
+
 def _run_construct(args: argparse.Namespace, config: RunConfig) -> int:
+    from .constructions import (
+        cone,
+        covering_witness_family,
+        full_family,
+        hypercube_family,
+        initial_segment_family,
+        product,
+        recursive_family,
+    )
+
     if args.what == "full":
         fam = full_family(args.n, args.s)
     elif args.what == "segments":
@@ -204,11 +206,13 @@ def _run_construct(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _run_check(args: argparse.Namespace, config: RunConfig) -> int:
+    from .covering import is_k_covering, unique_face
+
     fam = _load_family(args.family)
     if args.what == "covering":
         report = is_k_covering(fam, args.k)
         if config.format == "json":
-            _emit(config, json.dumps(report.as_dict()) + "\n")
+            _emit(config, _json_line(report.as_dict()))
         elif report.holds:
             _emit(config, "PASS\n")
         else:
@@ -217,7 +221,7 @@ def _run_check(args: argparse.Namespace, config: RunConfig) -> int:
         return EXIT_OK if report.holds else EXIT_FAIL
     report = unique_face(fam)
     if config.format == "json":
-        _emit(config, json.dumps(report.as_dict()) + "\n")
+        _emit(config, _json_line(report.as_dict()))
     elif report.holds:
         _emit(config, "PASS\n")
     else:
@@ -227,20 +231,20 @@ def _run_check(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def _run_vcdim(args: argparse.Namespace, config: RunConfig) -> int:
+    from .vc import vc_dimension
+
     fam = _load_family(args.family)
     report = vc_dimension(fam, workers=config.workers)
     if config.format == "json":
-        _emit(config, json.dumps(report.as_dict()) + "\n")
+        _emit(config, _json_line(report.as_dict()))
     else:
         _emit(config, f"{report.dimension}\n")
     return EXIT_OK
 
 
-def _oracle_text(result: OracleResult) -> str:
-    return f"{result.value}\n" + write_family(result.witness)
-
-
 def _run_oracle(args: argparse.Namespace, config: RunConfig) -> int:
+    from .oracle import oracle_D
+
     params = Parameters(args.k, args.s, args.n)
     method = "exhaustive" if args.fallback_enum else "branch-and-bound"
     if args.cap_overridden:
@@ -250,13 +254,20 @@ def _run_oracle(args: argparse.Namespace, config: RunConfig) -> int:
     elapsed = time.perf_counter() - start
     print(f"nodes={result.nodes_explored} time={elapsed:.3f}s", file=sys.stderr)
     if config.format == "json":
-        _emit(config, json.dumps(result.as_dict(include_stats=False)) + "\n")
+        _emit(config, _json_line(result.as_dict(include_stats=False)))
     else:
-        _emit(config, _oracle_text(result))
+        _emit(config, f"{result.value}\n" + write_family(result.witness))
     return EXIT_OK
 
 
 def _run_verify(args: argparse.Namespace, config: RunConfig) -> int:
+    from .verify import (
+        lower_bound_certificate,
+        upper_bound_certificate,
+        verify_main_theorem,
+        verify_prop_const,
+    )
+
     lines: list[str] = []
     if args.what == "prop-const":
         report = verify_prop_const(args.m, args.k)
@@ -292,13 +303,15 @@ def _run_verify(args: argparse.Namespace, config: RunConfig) -> int:
         lines.append("PASS" if report.passed else "FAIL")
         passed = report.passed
     if config.format == "json":
-        _emit(config, json.dumps(payload) + "\n")
+        _emit(config, _json_line(payload))
     else:
         _emit(config, "".join(line + "\n" for line in lines))
     return EXIT_OK if passed else EXIT_FAIL
 
 
 def _run_explore(args: argparse.Namespace, config: RunConfig) -> int:
+    from .verify import explore, monotonicity_scan, rows_to_csv, stab_upper, surjectivity_scan
+
     rows = explore(args.k, args.s, _parse_n_range(args.n), cap=config.cap, workers=config.workers)
     if config.format == "json":
         payload = {
@@ -311,7 +324,7 @@ def _run_explore(args: argparse.Namespace, config: RunConfig) -> int:
             "non_monotone_pairs": monotonicity_scan(rows),
             "attained_values": sorted(surjectivity_scan(rows)),
         }
-        _emit(config, json.dumps(payload) + "\n")
+        _emit(config, _json_line(payload))
     else:
         _emit(config, rows_to_csv(rows))
         hint = stab_upper(rows)

@@ -15,7 +15,6 @@ with one member per line, elements ascending, the empty member written as
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -28,10 +27,15 @@ from .bitsets import (
 )
 
 FORMAT_HEADER = "vcfam 1"
+DEFAULT_CAP = 24
 
 
 class FamilyFormatError(ValueError):
     """Raised when family text/JSON violates the canonical format."""
+
+
+class FeasibilityError(RuntimeError):
+    """Universe size exceeds the configured feasibility cap."""
 
 
 @dataclass(frozen=True)
@@ -176,23 +180,35 @@ def _parse_header(lines: list[str]) -> tuple[int, int | None]:
     return n, s
 
 
-def _parse_member_line(line: str, n: int) -> int:
-    if line == "-":
-        return 0
-    prev = 0
-    mask = 0
-    for token in line.split():
-        try:
-            e = int(token)
-        except ValueError:
-            raise FamilyFormatError(f"bad element {token!r} in line {line!r}") from None
+def _append_member(masks: list[int], elements: Iterable[int], n: int, shown: str) -> None:
+    """Append one member's mask to ``masks``, enforcing the canonical form.
+
+    The elements must be ascending ints in [1, n], and the member must come
+    strictly after ``masks[-1]`` in mask order. ``shown`` quotes the member
+    in error messages.
+    """
+    mask = prev = 0
+    for e in elements:
         if not (1 <= e <= n):
             raise FamilyFormatError(f"element {e} out of range [1, {n}]")
         if e <= prev:
-            raise FamilyFormatError(f"unsorted line: {line!r}")
+            raise FamilyFormatError(f"unsorted member: {shown}")
         prev = e
         mask |= 1 << (e - 1)
-    return mask
+    if masks and mask <= masks[-1]:
+        if mask == masks[-1]:
+            raise FamilyFormatError(f"duplicate member: {shown}")
+        raise FamilyFormatError(f"members out of canonical order at {shown}")
+    masks.append(mask)
+
+
+def _line_elements(line: str) -> list[int]:
+    if line == "-":
+        return []
+    try:
+        return [int(token) for token in line.split()]
+    except ValueError:
+        raise FamilyFormatError(f"bad element in line {line!r}") from None
 
 
 def read_family(text: str) -> SetFamily:
@@ -207,13 +223,7 @@ def read_family(text: str) -> SetFamily:
     n, declared_s = _parse_header(lines)
     masks: list[int] = []
     for line in lines[2:]:
-        mask = _parse_member_line(line, n)
-        if masks:
-            if mask == masks[-1]:
-                raise FamilyFormatError(f"duplicate member: {line!r}")
-            if mask < masks[-1]:
-                raise FamilyFormatError(f"member lines out of canonical order at {line!r}")
-        masks.append(mask)
+        _append_member(masks, _line_elements(line), n, repr(line))
     if declared_s is not None:
         if not masks:
             raise FamilyFormatError("empty family must declare s=mixed")
@@ -231,11 +241,15 @@ def read_family(text: str) -> SetFamily:
 
 def write_family_json(f: SetFamily) -> str:
     """Serialize to the JSON mirror format."""
+    import json
+
     return json.dumps({"n": f.n, "members": [list(elements_of(m)) for m in f.members]})
 
 
 def read_family_json(text: str) -> SetFamily:
     """Parse the JSON mirror, enforcing the same ordering rules as the text form."""
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -243,19 +257,16 @@ def read_family_json(text: str) -> SetFamily:
     if not isinstance(obj, dict) or set(obj) != {"n", "members"}:
         raise FamilyFormatError("JSON family must be an object with keys 'n' and 'members'")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1 or n > MAX_GROUND:
+    # bool is a subclass of int, so the checks compare exact types.
+    if type(n) is not int or n < 1 or n > MAX_GROUND:
         raise FamilyFormatError(f"bad ground size {n!r}")
+    if type(obj["members"]) is not list:
+        raise FamilyFormatError("JSON family 'members' must be a list")
     masks: list[int] = []
     for member in obj["members"]:
-        if not isinstance(member, list) or not all(isinstance(e, int) for e in member):
+        if type(member) is not list or not all(type(e) is int for e in member):
             raise FamilyFormatError(f"bad member {member!r}")
-        line = "-" if not member else " ".join(str(e) for e in member)
-        mask = _parse_member_line(line, n)
-        if masks and mask == masks[-1]:
-            raise FamilyFormatError(f"duplicate member: {member!r}")
-        if masks and mask < masks[-1]:
-            raise FamilyFormatError(f"members out of canonical order at {member!r}")
-        masks.append(mask)
+        _append_member(masks, member, n, repr(member))
     sizes = {m.bit_count() for m in masks}
     uniform = sizes.pop() if len(sizes) == 1 else None
     return SetFamily(n=n, members=tuple(masks), uniform_size=uniform)

@@ -25,15 +25,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitsets import iter_fixed_size_masks
-from .families import Parameters, SetFamily, family_from_masks
+from .families import DEFAULT_CAP, FeasibilityError, Parameters, SetFamily, family_from_masks
 from .vc import vc_dimension
 
-DEFAULT_CAP = 24
 DEFAULT_ENUM_CAP = 12
-
-
-class FeasibilityError(RuntimeError):
-    """Universe size exceeds the configured feasibility cap."""
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,18 @@ stated parameters, not an estimate.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .bitsets import MAX_GROUND, elements_of, full_mask, mask_of
 from .covering import is_k_covering, unique_face
 from .constructions import covering_witness_family, full_family, recursive_family
-from .families import Parameters, SetFamily, family_from_masks, write_family
-from .oracle import DEFAULT_CAP, oracle_D
+from .families import DEFAULT_CAP, Parameters, SetFamily, family_from_masks, write_family
 from .vc import sauer_shelah_sum, shatters, vc_dimension
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 LOWER_KIND = "lower-vc-ge-k"
 UPPER_KIND = "upper-vc-le-k"
@@ -90,6 +89,8 @@ def lower_bound_certificate(k: int, s: int, n: int) -> Certificate:
     implies the certificate for 2k <= n but can fail at the boundary while
     the direct comparison still holds.
     """
+    from fractions import Fraction
+
     lhs = Fraction(sauer_shelah_sum(n, k))
     rhs = Fraction(min_cover_size_lower_bound(k, s, n))
     sufficient = Fraction(k * math.comb(n, k - 1)) < Fraction(math.comb(n, k), math.comb(s, k))
@@ -112,6 +113,8 @@ def upper_bound_certificate(
     k: int, s: int, n: int, witness_path: str | None = None, workers: int = 1
 ) -> Certificate:
     """Build the witness family and certify D(k,s,n) <= k by direct verification."""
+    from fractions import Fraction
+
     witness = covering_witness_family(k, s, n)
     dim = vc_dimension(witness, workers=workers).dimension
     holds = is_k_covering(witness, k).holds and dim <= k
@@ -264,7 +267,10 @@ def verify_main_theorem(k: int, s: int, workers: int = 1) -> MainTheoremReport:
     )
 
 
-def _explore_one(k: int, s: int, n: int, cap: int, workers: int) -> ExplorationRow:
+def _explore_one(k: int, s: int, n: int, cap: int) -> ExplorationRow:
+    # Only exploration rows search, so the verify commands never load the oracle.
+    from .oracle import oracle_D
+
     lower = 0
     if s < n:
         # Any covering family with s < n needs two distinct members, which
@@ -272,12 +278,12 @@ def _explore_one(k: int, s: int, n: int, cap: int, workers: int) -> ExplorationR
         lower = 1
     if lower_bound_certificate(k, s, n).holds:
         lower = max(lower, k)
-    witness_vc = vc_dimension(covering_witness_family(k, s, n), workers=workers).dimension
+    witness_vc = vc_dimension(covering_witness_family(k, s, n)).dimension
     upper = min(s, n - s, witness_vc)
     exact: int | None = None
     method = ""
     if math.comb(n, s) <= cap:
-        exact = oracle_D(Parameters(k, s, n), cap=cap, workers=workers).value
+        exact = oracle_D(Parameters(k, s, n), cap=cap).value
         method = "oracle"
     elif s == k or s == n:
         # The covering family is forced (the full family for s = k, the
@@ -297,14 +303,10 @@ def explore(
 ) -> list[ExplorationRow]:
     """Bracket the minimum VC-dimension over a range of ground sizes.
 
-    Rows are independent and emitted sorted by n; with workers > 1 they are
-    computed concurrently but the output is identical to the sequential run.
+    Rows are computed sequentially and returned sorted by n. ``workers`` is
+    accepted and ignored, so the table is the same for any worker count.
     """
-    ns = sorted(v for v in n_range if v >= s)
-    if workers <= 1:
-        return [_explore_one(k, s, n, cap, 1) for n in ns]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda n: _explore_one(k, s, n, cap, 1), ns))
+    return [_explore_one(k, s, n, cap) for n in sorted(v for v in n_range if v >= s)]
 
 
 def stab_upper(rows: list[ExplorationRow]) -> int | None:
@@ -340,6 +342,9 @@ def surjectivity_scan(rows: list[ExplorationRow]) -> set[int]:
 
 def rows_to_csv(rows: list[ExplorationRow]) -> str:
     """Frozen CSV schema: k,s,n,lower,upper,exact,method."""
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "s", "n", "lower", "upper", "exact", "method"])

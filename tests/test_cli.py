@@ -188,6 +188,17 @@ class TestUsageErrors:
     def test_missing_file(self):
         assert run_cli("vcdim", "--family", "/nonexistent/f.vcfam").returncode == 2
 
+    def test_family_file_closed(self, tmp_path):
+        # -X dev turns on ResourceWarning, which an unclosed family file raises.
+        path = tmp_path / "f.vcfam"
+        path.write_text(write_family(full_family(5, 2)))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "vccover", "vcdim", "--family", str(path)],
+            capture_output=True, text=True, timeout=180,
+        )
+        assert proc.returncode == 0 and proc.stdout == "2\n"
+        assert "ResourceWarning" not in proc.stderr
+
 
 class TestDeterminism:
     def test_identical_data_streams_across_worker_counts(self):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -115,6 +116,33 @@ class TestFileFormat:
             read_family_json('{"n": 4, "members": [[3, 4], [1, 2]]}')
         with pytest.raises(FamilyFormatError):
             read_family_json('{"n": 4, "members": [[1, 2], [1, 2]]}')
+
+    def test_json_rejects_bool_ground_size(self):
+        # bool is an int subclass; n=true would make a family the text form rejects.
+        with pytest.raises(FamilyFormatError, match="ground size"):
+            read_family_json('{"n": true, "members": [[1]]}')
+
+    def test_json_rejects_bool_elements(self):
+        for members in ("[[true]]", "[[1, true]]", "[[false, 1]]"):
+            with pytest.raises(FamilyFormatError, match="bad member"):
+                read_family_json('{"n": 3, "members": %s}' % members)
+
+    def test_json_rejects_non_list_members(self):
+        for members in ("5", '"12"', "{}"):
+            with pytest.raises(FamilyFormatError):
+                read_family_json('{"n": 3, "members": %s}' % members)
+
+    def test_json_and_text_share_member_checks(self):
+        cases = [
+            ("2 1", [2, 1], "unsorted"),
+            ("1 5", [1, 5], "out of range"),
+            ("0", [0], "out of range"),
+        ]
+        for line, member, message in cases:
+            with pytest.raises(FamilyFormatError, match=message):
+                read_family(f"vcfam 1\nn=4 s=mixed\n{line}\n")
+            with pytest.raises(FamilyFormatError, match=message):
+                read_family_json(json.dumps({"n": 4, "members": [member]}))
 
 
 class TestEnumerateSubsets:

@@ -1,0 +1,88 @@
+"""Import hygiene: each command loads only the modules it uses, and the
+package's exported names are resolved lazily to the defining objects."""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import vccover
+from vccover import full_family, write_family
+
+# Runs one command in process, then prints the names in sys.modules.
+PROBE = """
+import io, sys
+from contextlib import redirect_stdout
+from vccover.cli import main
+with redirect_stdout(io.StringIO()):
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(" ".join(sorted(sys.modules)))
+"""
+
+NEVER_LOADED = {"vccover.verify", "concurrent.futures", "fractions", "csv"}
+
+COMMANDS = {
+    "help": ["--help"],
+    "construct": ["construct", "hypercube", "-k", "2", "-m", "3"],
+    "check": ["check", "covering", "--family", "{family}", "-k", "2"],
+    "vcdim": ["vcdim", "--family", "{family}"],
+    "oracle": ["oracle", "-k", "2", "-s", "3", "-n", "5"],
+}
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, timeout=180
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_only_what_it_uses(command, tmp_path):
+    family = tmp_path / "f.vcfam"
+    family.write_text(write_family(full_family(5, 2)))
+    argv = [a.format(family=family) for a in COMMANDS[command]]
+    loaded = loaded_modules(*argv)
+    assert "vccover.cli" in loaded
+    assert not NEVER_LOADED & loaded
+    assert ("vccover.oracle" in loaded) == (command == "oracle")
+
+
+def test_package_import_loads_no_submodule():
+    loaded = set(
+        subprocess.run(
+            [sys.executable, "-c", "import sys, vccover; print(' '.join(sys.modules))"],
+            capture_output=True, text=True, timeout=180, check=True,
+        ).stdout.split()
+    )
+    assert {m for m in loaded if m.startswith("vccover.")} == set()
+
+
+def test_every_export_is_the_defining_object():
+    assert len(set(vccover.__all__)) == len(vccover.__all__)
+    for module, names in vccover._EXPORTS.items():
+        source = importlib.import_module(f"vccover.{module}")
+        for name in names:
+            assert getattr(vccover, name) is getattr(source, name), name
+    oracle = importlib.import_module("vccover.oracle")
+    assert oracle.DEFAULT_CAP is vccover.DEFAULT_CAP
+    assert oracle.FeasibilityError is vccover.FeasibilityError
+
+
+def test_star_import_and_dir():
+    namespace: dict = {}
+    exec("from vccover import *", namespace)
+    for name in vccover.__all__:
+        assert namespace[name] is getattr(vccover, name), name
+    assert set(vccover.__all__) <= set(dir(vccover))
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        vccover.no_such_name
+    assert not hasattr(vccover, "no_such_name")
