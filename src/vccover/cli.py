@@ -1,6 +1,8 @@
 """Command-line entry point.
 
-Data goes to stdout (or --out); diagnostics such as node counts and wall
+Every command takes one path: argparse parses and validates the options,
+the command's handler returns ``(exit code, data)``, and ``main`` writes the
+data once, to --out or stdout. Diagnostics such as node counts and wall
 time go to stderr, so the data stream is byte-reproducible across runs and
 worker counts. Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage
 error, 3 feasibility-cap error.
@@ -15,11 +17,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from .bitsets import elements_of
 from .families import (
     DEFAULT_CAP,
+    DEFAULT_ENUM_CAP,
     FamilyFormatError,
     FeasibilityError,
     Parameters,
@@ -35,25 +38,15 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-FORMATS = ("text", "json", "csv")
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run-wide options shared by the subcommands."""
-
-    out: str | None
-    format: str
-    cap: int
-    workers: int
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
-        if self.format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _load_family(path: str) -> SetFamily:
@@ -67,28 +60,14 @@ def _load_family(path: str) -> SetFamily:
     return read_family(text)
 
 
-def _emit(config: RunConfig, data: str) -> None:
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data)
-
-
-def _emit_family(config: RunConfig, fam: SetFamily) -> None:
-    if config.format == "json":
-        _emit(config, write_family_json(fam) + "\n")
-    else:
-        _emit(config, write_family(fam))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the data stream to this file instead of stdout")
-    common.add_argument("--format", default="text", choices=FORMATS)
-    common.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                        help="feasibility cap on the universe size C(n,s) for oracle search")
-    common.add_argument("--workers", type=int, default=1,
+    common.add_argument("--format", default="text", choices=("text", "json", "csv"))
+    common.add_argument("--cap", type=_positive_int,
+                        help="feasibility cap on the universe size C(n,s) for oracle search "
+                             f"(default {DEFAULT_CAP}; {DEFAULT_ENUM_CAP} with --fallback-enum)")
+    common.add_argument("--workers", type=_positive_int, default=1,
                         help="accepted for compatibility and ignored: every command runs "
                              "sequentially, so results are identical for any count")
 
@@ -99,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     construct = sub.add_parser("construct", help="build a family and emit it canonically")
+    construct.set_defaults(run=_run_construct)
     csub = construct.add_subparsers(dest="what", required=True)
     p = csub.add_parser("full", parents=[common])
     p.add_argument("-n", type=int, required=True)
@@ -122,6 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-l", type=int, required=True)
 
     check = sub.add_parser("check", help="decide a property, print PASS/FAIL plus witnesses")
+    check.set_defaults(run=_run_check)
     ksub = check.add_subparsers(dest="what", required=True)
     p = ksub.add_parser("covering", parents=[common])
     p.add_argument("--family", required=True)
@@ -130,10 +111,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
 
     p = sub.add_parser("vcdim", parents=[common], help="exact VC-dimension of a family file")
+    p.set_defaults(run=_run_vcdim)
     p.add_argument("--family", required=True)
 
     p = sub.add_parser("oracle", parents=[common],
                        help="exact minimum VC-dimension over covering families")
+    p.set_defaults(run=_run_oracle)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-s", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
@@ -141,6 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="use the power-set enumeration oracle instead of branch-and-bound")
 
     verify = sub.add_parser("verify", help="run a verification and exit 0 on PASS")
+    verify.set_defaults(run=_run_verify)
     vsub = verify.add_subparsers(dest="what", required=True)
     p = vsub.add_parser("prop-const", parents=[common])
     p.add_argument("-m", type=int, required=True)
@@ -156,6 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explore", parents=[common],
                        help="emit an exploration table over a range of ground sizes")
+    p.set_defaults(run=_run_explore)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-s", type=int, required=True)
     p.add_argument("-n", required=True, help="ground size or inclusive range LO:HI")
@@ -176,7 +161,7 @@ def _json_line(payload: object) -> str:
     return json.dumps(payload) + "\n"
 
 
-def _run_construct(args: argparse.Namespace, config: RunConfig) -> int:
+def _run_construct(args: argparse.Namespace) -> tuple[int, str]:
     from .constructions import (
         cone,
         covering_witness_family,
@@ -201,66 +186,55 @@ def _run_construct(args: argparse.Namespace, config: RunConfig) -> int:
         fam = cone(_load_family(args.family))
     else:
         fam = product(_load_family(args.family), args.l)
-    _emit_family(config, fam)
-    return EXIT_OK
+    if args.format == "json":
+        return EXIT_OK, write_family_json(fam) + "\n"
+    return EXIT_OK, write_family(fam)
 
 
-def _run_check(args: argparse.Namespace, config: RunConfig) -> int:
+def _run_check(args: argparse.Namespace) -> tuple[int, str]:
     from .covering import is_k_covering, unique_face
 
     fam = _load_family(args.family)
     if args.what == "covering":
         report = is_k_covering(fam, args.k)
-        if config.format == "json":
-            _emit(config, _json_line(report.as_dict()))
-        elif report.holds:
-            _emit(config, "PASS\n")
-        else:
-            witness = " ".join(str(e) for e in elements_of(report.uncovered))
-            _emit(config, f"FAIL uncovered: {witness}\n")
-        return EXIT_OK if report.holds else EXIT_FAIL
-    report = unique_face(fam)
-    if config.format == "json":
-        _emit(config, _json_line(report.as_dict()))
-    elif report.holds:
-        _emit(config, "PASS\n")
+        failure, witness = "uncovered", report.uncovered
     else:
-        witness = " ".join(str(e) for e in elements_of(report.violator))
-        _emit(config, f"FAIL violator: {witness}\n")
-    return EXIT_OK if report.holds else EXIT_FAIL
+        report = unique_face(fam)
+        failure, witness = "violator", report.violator
+    code = EXIT_OK if report.holds else EXIT_FAIL
+    if args.format == "json":
+        return code, _json_line(report.as_dict())
+    if report.holds:
+        return code, "PASS\n"
+    return code, f"FAIL {failure}: {' '.join(str(e) for e in elements_of(witness))}\n"
 
 
-def _run_vcdim(args: argparse.Namespace, config: RunConfig) -> int:
+def _run_vcdim(args: argparse.Namespace) -> tuple[int, str]:
     from .vc import vc_dimension
 
-    fam = _load_family(args.family)
-    report = vc_dimension(fam, workers=config.workers)
-    if config.format == "json":
-        _emit(config, _json_line(report.as_dict()))
-    else:
-        _emit(config, f"{report.dimension}\n")
-    return EXIT_OK
+    report = vc_dimension(_load_family(args.family))
+    if args.format == "json":
+        return EXIT_OK, _json_line(report.as_dict())
+    return EXIT_OK, f"{report.dimension}\n"
 
 
-def _run_oracle(args: argparse.Namespace, config: RunConfig) -> int:
+def _run_oracle(args: argparse.Namespace) -> tuple[int, str]:
     from .oracle import oracle_D
 
     params = Parameters(args.k, args.s, args.n)
     method = "exhaustive" if args.fallback_enum else "branch-and-bound"
-    if args.cap_overridden:
-        print(f"warning: feasibility cap overridden to {config.cap}", file=sys.stderr)
+    if args.cap is not None:
+        print(f"warning: feasibility cap overridden to {args.cap}", file=sys.stderr)
     start = time.perf_counter()
-    result = oracle_D(params, cap=config.cap, workers=config.workers, method=method)
+    result = oracle_D(params, cap=args.cap, method=method)
     elapsed = time.perf_counter() - start
     print(f"nodes={result.nodes_explored} time={elapsed:.3f}s", file=sys.stderr)
-    if config.format == "json":
-        _emit(config, _json_line(result.as_dict(include_stats=False)))
-    else:
-        _emit(config, f"{result.value}\n" + write_family(result.witness))
-    return EXIT_OK
+    if args.format == "json":
+        return EXIT_OK, _json_line(result.as_dict(include_stats=False))
+    return EXIT_OK, f"{result.value}\n" + write_family(result.witness)
 
 
-def _run_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
     from .verify import (
         lower_bound_certificate,
         upper_bound_certificate,
@@ -274,13 +248,10 @@ def _run_verify(args: argparse.Namespace, config: RunConfig) -> int:
         payload = report.as_dict()
         for item, ok in payload["items"].items():
             lines.append(f"{item}: {'PASS' if ok else 'FAIL'}")
-        lines.append("PASS" if report.passed else "FAIL")
         passed = report.passed
     elif args.what == "certificate":
         lower = lower_bound_certificate(args.k, args.s, args.n)
-        upper = upper_bound_certificate(
-            args.k, args.s, args.n, witness_path=args.witness_out, workers=config.workers
-        )
+        upper = upper_bound_certificate(args.k, args.s, args.n, witness_path=args.witness_out)
         payload = {"lower": lower.as_dict(), "upper": upper.as_dict()}
         lines.append(
             f"lower {lower.inequality_lhs} < {lower.inequality_rhs}: "
@@ -292,68 +263,54 @@ def _run_verify(args: argparse.Namespace, config: RunConfig) -> int:
             f"{'HOLDS' if upper.holds else 'FAILS'}"
         )
         passed = lower.holds and upper.holds
-        lines.append("PASS" if passed else "FAIL")
     else:
-        report = verify_main_theorem(args.k, args.s, workers=config.workers)
+        report = verify_main_theorem(args.k, args.s)
         payload = report.as_dict()
         lines.append(f"n = {report.n}")
         lines.append(f"certificate: {'PASS' if report.certificate.holds else 'FAIL'}")
         lines.append(f"witness covering: {'PASS' if report.witness_covering else 'FAIL'}")
         lines.append(f"witness vc = {report.witness_vc}")
-        lines.append("PASS" if report.passed else "FAIL")
         passed = report.passed
-    if config.format == "json":
-        _emit(config, _json_line(payload))
-    else:
-        _emit(config, "".join(line + "\n" for line in lines))
-    return EXIT_OK if passed else EXIT_FAIL
+    code = EXIT_OK if passed else EXIT_FAIL
+    if args.format == "json":
+        return code, _json_line(payload)
+    lines.append("PASS" if passed else "FAIL")
+    return code, "".join(line + "\n" for line in lines)
 
 
-def _run_explore(args: argparse.Namespace, config: RunConfig) -> int:
+def _run_explore(args: argparse.Namespace) -> tuple[int, str]:
     from .verify import explore, monotonicity_scan, rows_to_csv, stab_upper, surjectivity_scan
 
-    rows = explore(args.k, args.s, _parse_n_range(args.n), cap=config.cap, workers=config.workers)
-    if config.format == "json":
+    cap = DEFAULT_CAP if args.cap is None else args.cap
+    rows = explore(args.k, args.s, _parse_n_range(args.n), cap=cap)
+    hint = stab_upper(rows)
+    drops = monotonicity_scan(rows)
+    attained = sorted(surjectivity_scan(rows))
+    if args.format == "json":
         payload = {
-            "rows": [
-                {"k": r.k, "s": r.s, "n": r.n, "lower": r.lower, "upper": r.upper,
-                 "exact": r.exact, "method": r.method}
-                for r in rows
-            ],
-            "stab_upper_hint": stab_upper(rows),
-            "non_monotone_pairs": monotonicity_scan(rows),
-            "attained_values": sorted(surjectivity_scan(rows)),
+            "rows": [asdict(row) for row in rows],
+            "stab_upper_hint": hint,
+            "non_monotone_pairs": drops,
+            "attained_values": attained,
         }
-        _emit(config, _json_line(payload))
-    else:
-        _emit(config, rows_to_csv(rows))
-        hint = stab_upper(rows)
-        print(f"stab_upper_hint={hint}", file=sys.stderr)
-        drops = monotonicity_scan(rows)
-        if drops:
-            print(f"non-monotone pairs: {drops}", file=sys.stderr)
-        print(f"attained values: {sorted(surjectivity_scan(rows))}", file=sys.stderr)
-    return EXIT_OK
+        return EXIT_OK, _json_line(payload)
+    print(f"stab_upper_hint={hint}", file=sys.stderr)
+    if drops:
+        print(f"non-monotone pairs: {drops}", file=sys.stderr)
+    print(f"attained values: {attained}", file=sys.stderr)
+    return EXIT_OK, rows_to_csv(rows)
 
 
 def main(argv: list[str] | None = None) -> int:
-    raw = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(raw)
-    args.cap_overridden = any(a == "--cap" or a.startswith("--cap=") for a in raw)
+    args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(out=args.out, format=args.format, cap=args.cap, workers=args.workers)
-        if args.command == "construct":
-            return _run_construct(args, config)
-        if args.command == "check":
-            return _run_check(args, config)
-        if args.command == "vcdim":
-            return _run_vcdim(args, config)
-        if args.command == "oracle":
-            return _run_oracle(args, config)
-        if args.command == "verify":
-            return _run_verify(args, config)
-        return _run_explore(args, config)
+        code, data = args.run(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(data)
+        else:
+            sys.stdout.write(data)
+        return code
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

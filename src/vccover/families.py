@@ -28,6 +28,7 @@ from .bitsets import (
 
 FORMAT_HEADER = "vcfam 1"
 DEFAULT_CAP = 24
+DEFAULT_ENUM_CAP = 12
 
 
 class FamilyFormatError(ValueError):
@@ -154,27 +155,32 @@ def write_family(f: SetFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _header_int(text: str, name: str, line: str) -> int:
+    """The decimal integer ``text``, written as ``str`` writes it."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise FamilyFormatError(f"malformed header: bad {name} in {line!r}")
+    return value
+
+
 def _parse_header(lines: list[str]) -> tuple[int, int | None]:
     if not lines or lines[0] != FORMAT_HEADER:
         raise FamilyFormatError(f"malformed header: expected '{FORMAT_HEADER}'")
     if len(lines) < 2:
         raise FamilyFormatError("malformed header: missing parameter line")
-    parts = lines[1].split()
+    parts = lines[1].split(" ")
     if len(parts) != 2 or not parts[0].startswith("n=") or not parts[1].startswith("s="):
         raise FamilyFormatError(f"malformed header: {lines[1]!r}")
-    try:
-        n = int(parts[0][2:])
-    except ValueError:
-        raise FamilyFormatError(f"malformed header: bad n in {lines[1]!r}") from None
+    n = _header_int(parts[0][2:], "n", lines[1])
     if n < 1 or n > MAX_GROUND:
         raise FamilyFormatError(f"malformed header: n={n} out of range")
     s_text = parts[1][2:]
     if s_text == "mixed":
         return n, None
-    try:
-        s = int(s_text)
-    except ValueError:
-        raise FamilyFormatError(f"malformed header: bad s in {lines[1]!r}") from None
+    s = _header_int(s_text, "s", lines[1])
     if s < 0:
         raise FamilyFormatError(f"malformed header: s={s} negative")
     return n, s
@@ -202,13 +208,28 @@ def _append_member(masks: list[int], elements: Iterable[int], n: int, shown: str
     masks.append(mask)
 
 
-def _line_elements(line: str) -> list[int]:
+def _line_elements(line: str, tokens: dict[str, int]) -> list[int]:
+    """The elements of one member line, which must be spelled canonically.
+
+    ``tokens`` maps "1".."n" to 1..n, so a line is parsed by lookup. int()
+    would also take signs, leading zeros, runs of spaces and non-ASCII
+    digits, which write_family never writes; only a line the lookup fails
+    on is parsed again with int(), to say what is wrong with it.
+    """
     if line == "-":
         return []
     try:
-        return [int(token) for token in line.split()]
+        return [tokens[token] for token in line.split(" ")]
+    except KeyError:
+        pass
+    try:
+        elements = [int(token) for token in line.split(" ")]
     except ValueError:
         raise FamilyFormatError(f"bad element in line {line!r}") from None
+    if " ".join(map(str, elements)) != line:
+        raise FamilyFormatError(f"non-canonical member line {line!r}")
+    # Spelled canonically, so some element is outside [1, n]: _append_member says which.
+    return elements
 
 
 def read_family(text: str) -> SetFamily:
@@ -221,9 +242,10 @@ def read_family(text: str) -> SetFamily:
     if lines and lines[-1] == "":
         lines.pop()
     n, declared_s = _parse_header(lines)
+    tokens = {str(e): e for e in range(1, n + 1)}
     masks: list[int] = []
     for line in lines[2:]:
-        _append_member(masks, _line_elements(line), n, repr(line))
+        _append_member(masks, _line_elements(line, tokens), n, repr(line))
     if declared_s is not None:
         if not masks:
             raise FamilyFormatError("empty family must declare s=mixed")

@@ -25,10 +25,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bitsets import iter_fixed_size_masks
-from .families import DEFAULT_CAP, FeasibilityError, Parameters, SetFamily, family_from_masks
+from .families import (
+    DEFAULT_CAP,
+    DEFAULT_ENUM_CAP,
+    FeasibilityError,
+    Parameters,
+    SetFamily,
+    family_from_masks,
+)
 from .vc import vc_dimension
-
-DEFAULT_ENUM_CAP = 12
 
 
 @dataclass(frozen=True)

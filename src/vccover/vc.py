@@ -14,7 +14,8 @@ in colex order and keeps, per probe, its trace cells, the member bitsets
 realizing each of its 2^|A| traces. Adding an element splits every cell
 with one AND; a probe with an empty cell is pruned with all its
 extensions, because every subset of a shattered set is shattered (Sauer
-1972, Shelah 1972, Pajor 1985). ``shatters`` is the single-probe test.
+1972, Shelah 1972, Pajor 1985). ``shatters`` runs the same search over the
+columns of one probe.
 """
 
 from __future__ import annotations
@@ -64,30 +65,18 @@ def trace(f: SetFamily, probe: int) -> TraceSet:
     return TraceSet(probe=probe, traces=frozenset(probe & m for m in f.members))
 
 
-def _is_shattered(members: tuple[int, ...], probe: int) -> bool:
-    """Short-circuiting shatter test; exact for any member order."""
-    want = 1 << probe.bit_count()
-    if want > len(members):
-        return False
-    traces: set[int] = set()
-    remaining = len(members)
-    for m in members:
-        traces.add(probe & m)
-        if len(traces) == want:
-            return True
-        remaining -= 1
-        if len(traces) + remaining < want:
-            return False
-    return False
-
-
 def shatters(f: SetFamily, probe: int) -> bool:
     """True iff the family realizes all 2^|probe| subsets of the probe."""
     if not f.members:
         raise ValueError("shattering is undefined for the empty family")
     if not is_within(probe, f.n):
         raise ValueError(f"probe {elements_of(probe)} not within [{f.n}]")
-    return _is_shattered(f.members, probe)
+    if not probe:
+        return True
+    columns = incidence_columns(f)
+    probe_columns = [columns[e - 1] for e in elements_of(probe)]
+    everyone = (1 << len(f.members)) - 1
+    return _first_shattered(probe_columns, len(probe_columns), everyone) is not None
 
 
 def _first_shattered(columns: list[int], size: int, everyone: int) -> int | None:

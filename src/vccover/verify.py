@@ -109,14 +109,12 @@ def family_certifies_upper(f: SetFamily, k: int) -> bool:
     return is_k_covering(f, k).holds and vc_dimension(f).dimension <= k
 
 
-def upper_bound_certificate(
-    k: int, s: int, n: int, witness_path: str | None = None, workers: int = 1
-) -> Certificate:
+def upper_bound_certificate(k: int, s: int, n: int, witness_path: str | None = None) -> Certificate:
     """Build the witness family and certify D(k,s,n) <= k by direct verification."""
     from fractions import Fraction
 
     witness = covering_witness_family(k, s, n)
-    dim = vc_dimension(witness, workers=workers).dimension
+    dim = vc_dimension(witness).dimension
     holds = is_k_covering(witness, k).holds and dim <= k
     if witness_path is not None:
         with open(witness_path, "w") as fh:
@@ -251,7 +249,7 @@ def stabilized_ground_size(k: int, s: int) -> int:
     return k * k * math.comb(s, k) + k
 
 
-def verify_main_theorem(k: int, s: int, workers: int = 1) -> MainTheoremReport:
+def verify_main_theorem(k: int, s: int) -> MainTheoremReport:
     """At n = k^2*C(s,k)+k: certificate forces >= k, explicit witness achieves exactly k."""
     if not (1 <= k <= s):
         raise ValueError(f"need 1 <= k <= s, got k={k} s={s}")
@@ -261,7 +259,7 @@ def verify_main_theorem(k: int, s: int, workers: int = 1) -> MainTheoremReport:
     cert = lower_bound_certificate(k, s, n)
     witness = covering_witness_family(k, s, n)
     covering = is_k_covering(witness, k).holds
-    dim = vc_dimension(witness, workers=workers).dimension
+    dim = vc_dimension(witness).dimension
     return MainTheoremReport(
         k=k, s=s, n=n, certificate=cert, witness_covering=covering, witness_vc=dim
     )

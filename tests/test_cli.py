@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from vccover import read_family, write_family, full_family, make_family
 
 CLI = [sys.executable, "-m", "vccover"]
@@ -102,6 +104,18 @@ class TestOracleCli:
         assert "warning" in proc.stderr
         assert proc.stdout.split("\n")[0] == "1"
 
+    def test_fallback_enum_has_its_own_cap(self):
+        # Without --cap the power-set route keeps its cap of 12, below the
+        # branch-and-bound cap of 24; --cap lifts it like any other cap.
+        argv = ["oracle", "-k", "1", "-s", "1", "-n", "13", "--fallback-enum"]
+        refused = run_cli(*argv)
+        assert refused.returncode == 3
+        assert "exceeds cap 12" in refused.stderr
+        lifted = run_cli(*argv, "--cap", "13")
+        assert lifted.returncode == 0
+        assert "warning" in lifted.stderr
+        assert lifted.stdout.split("\n")[0] == "1"
+
     def test_fallback_enum_agrees(self):
         bb = run_cli("oracle", "-k", "2", "-s", "3", "-n", "5")
         enum = run_cli("oracle", "-k", "2", "-s", "3", "-n", "5", "--fallback-enum")
@@ -171,6 +185,8 @@ class TestExploreCli:
         )
         assert payload["attained_values"] == [0, 1, 2]
         assert payload["stab_upper_hint"] == 4
+        for row in payload["rows"]:
+            assert list(row) == ["k", "s", "n", "lower", "upper", "exact", "method"]
 
 
 class TestUsageErrors:
@@ -179,6 +195,14 @@ class TestUsageErrors:
 
     def test_bad_parameters(self):
         assert run_cli("oracle", "-k", "3", "-s", "2", "-n", "5").returncode == 2
+
+    @pytest.mark.parametrize("option", ["--workers", "--cap"])
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_nonpositive_count_rejected(self, option, value):
+        proc = run_cli("oracle", "-k", "1", "-s", "2", "-n", "4", option, value)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"argument {option}" in proc.stderr
 
     def test_malformed_family_file(self, tmp_path):
         path = tmp_path / "bad.vcfam"

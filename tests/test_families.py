@@ -88,6 +88,17 @@ class TestFileFormat:
             with pytest.raises(FamilyFormatError):
                 read_family(text)
 
+    # Lines that int() would read but write_family never writes.
+    @pytest.mark.parametrize("line", ["", "+1 2", "1 02", "1  2", " 1 2", "1 2\t", "1 \u0662"])
+    def test_non_canonical_member_line_rejected(self, line):
+        with pytest.raises(FamilyFormatError):
+            read_family(f"vcfam 1\nn=4 s=mixed\n{line}\n1 2 3\n")
+
+    @pytest.mark.parametrize("header", ["n=04 s=2", "n=4 s=02", "n=4  s=2"])
+    def test_non_canonical_header_rejected(self, header):
+        with pytest.raises(FamilyFormatError, match="malformed header"):
+            read_family(f"vcfam 1\n{header}\n1 2\n")
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(FamilyFormatError, match="size"):
             read_family("vcfam 1\nn=4 s=3\n1 2\n")
