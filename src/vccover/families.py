@@ -208,27 +208,22 @@ def _append_member(masks: list[int], elements: Iterable[int], n: int, shown: str
     masks.append(mask)
 
 
-def _line_elements(line: str, tokens: dict[str, int]) -> list[int]:
+def _line_elements(line: str) -> list[int]:
     """The elements of one member line, which must be spelled canonically.
 
-    ``tokens`` maps "1".."n" to 1..n, so a line is parsed by lookup. int()
-    would also take signs, leading zeros, runs of spaces and non-ASCII
-    digits, which write_family never writes; only a line the lookup fails
-    on is parsed again with int(), to say what is wrong with it.
+    int() also takes signs, leading zeros, surrounding whitespace and
+    non-ASCII digits, which write_family never writes, so the line must equal
+    its elements joined back with single spaces. Range, order and duplicates
+    are left to _append_member.
     """
     if line == "-":
         return []
-    try:
-        return [tokens[token] for token in line.split(" ")]
-    except KeyError:
-        pass
     try:
         elements = [int(token) for token in line.split(" ")]
     except ValueError:
         raise FamilyFormatError(f"bad element in line {line!r}") from None
     if " ".join(map(str, elements)) != line:
         raise FamilyFormatError(f"non-canonical member line {line!r}")
-    # Spelled canonically, so some element is outside [1, n]: _append_member says which.
     return elements
 
 
@@ -242,10 +237,9 @@ def read_family(text: str) -> SetFamily:
     if lines and lines[-1] == "":
         lines.pop()
     n, declared_s = _parse_header(lines)
-    tokens = {str(e): e for e in range(1, n + 1)}
     masks: list[int] = []
     for line in lines[2:]:
-        _append_member(masks, _line_elements(line, tokens), n, repr(line))
+        _append_member(masks, _line_elements(line), n, repr(line))
     if declared_s is not None:
         if not masks:
             raise FamilyFormatError("empty family must declare s=mixed")
