@@ -23,7 +23,6 @@ _EXPORTS = {
     ),
     "constructions": (
         "HypercubeSpec",
-        "RecursiveSpec",
         "base_pairs_family",
         "cone",
         "covering_witness_family",

@@ -30,11 +30,6 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def max_element(mask: int) -> int:
-    """Largest element of a nonempty mask (0 for the empty mask)."""
-    return mask.bit_length()
-
-
 def full_mask(n: int) -> int:
     """Mask of the whole ground set [n]."""
     return (1 << n) - 1

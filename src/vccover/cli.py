@@ -230,7 +230,7 @@ def _run_oracle(args: argparse.Namespace) -> tuple[int, str]:
     elapsed = time.perf_counter() - start
     print(f"nodes={result.nodes_explored} time={elapsed:.3f}s", file=sys.stderr)
     if args.format == "json":
-        return EXIT_OK, _json_line(result.as_dict(include_stats=False))
+        return EXIT_OK, _json_line(result.as_dict())
     return EXIT_OK, f"{result.value}\n" + write_family(result.witness)
 
 

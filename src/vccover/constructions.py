@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bitsets import MAX_GROUND, elements_of, full_mask, iter_fixed_size_masks, max_element
-from .families import SetFamily, family_from_masks
+from .bitsets import MAX_GROUND, elements_of, full_mask, iter_fixed_size_masks
+from .families import Parameters, SetFamily, family_from_masks
 
 
 @dataclass(frozen=True)
@@ -44,30 +44,8 @@ class HypercubeSpec:
         return 1 + out
 
 
-@dataclass(frozen=True)
-class RecursiveSpec:
-    """Shape of the recursively extended pair family: depth k over base size m."""
-
-    m: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.m < 2 or self.k < 1:
-            raise ValueError(f"need m >= 2 and k >= 1, got m={self.m} k={self.k}")
-
-    @property
-    def ground_size(self) -> int:
-        return self.m + self.k - 1
-
-    @property
-    def member_size(self) -> int:
-        return self.k + 1
-
-
 def full_family(n: int, s: int) -> SetFamily:
     """All C(n, s) subsets of size s, in canonical order."""
-    if not (0 <= s <= n):
-        raise ValueError(f"need 0 <= s <= n, got s={s} n={n}")
     return family_from_masks(n, iter_fixed_size_masks(n, s))
 
 
@@ -139,7 +117,7 @@ def recursive_step(f: SetFamily) -> SetFamily:
         raise ValueError("recursive step requires a uniform family")
     masks = []
     for m in f.members:
-        for i in range(max_element(m) + 1, f.n + 2):
+        for i in range(m.bit_length() + 1, f.n + 2):
             masks.append(m | (1 << (i - 1)))
     return family_from_masks(f.n + 1, masks)
 
@@ -150,11 +128,12 @@ def recursive_family(m: int, k: int) -> SetFamily:
     k-covering with the unique face property; the top k-element window of
     the ground set is shattered whenever 2k < m+k-1.
     """
-    spec = RecursiveSpec(m=m, k=k)
+    if m < 2 or k < 1:
+        raise ValueError(f"need m >= 2 and k >= 1, got m={m} k={k}")
     fam = base_pairs_family(m)
     for _ in range(k - 1):
         fam = recursive_step(fam)
-    assert fam.n == spec.ground_size and fam.uniform_size == spec.member_size
+    assert fam.n == m + k - 1 and fam.uniform_size == k + 1
     return fam
 
 
@@ -165,14 +144,10 @@ def covering_witness_family(k: int, s: int, n: int) -> SetFamily:
     depth-k recursive family on [n-(s-k-1)] coned up until the member size
     reaches s and the ground reaches [n].
     """
-    if not (1 <= k <= s <= n):
-        raise ValueError(f"need 1 <= k <= s <= n, got k={k} s={s} n={n}")
+    Parameters(k, s, n)
     if s == k:
         return full_family(n, k)
-    m = n - s + 2
-    if m < 2:
-        raise ValueError(f"no witness construction for k={k} s={s} n={n}: base size {m} < 2")
-    fam = recursive_family(m, k)
+    fam = recursive_family(n - s + 2, k)
     for _ in range(s - k - 1):
         fam = cone(fam)
     assert fam.n == n and fam.uniform_size == s

@@ -58,7 +58,7 @@ class Parameters:
 class SetFamily:
     """An ordered, deduplicated family of subsets of [n].
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction.
     ``uniform_size`` is auto-detected metadata: set when every member has
     the same cardinality, None otherwise (and for the empty family).
     """
@@ -120,8 +120,6 @@ def make_family(n: int, members: Iterable[Iterable[int]]) -> SetFamily:
 
     Duplicates are dropped silently; element out of [n] is an error.
     """
-    if n < 1:
-        raise ValueError("ground size must be a positive integer")
     masks = []
     for member in members:
         elems = tuple(member)

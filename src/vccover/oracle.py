@@ -46,16 +46,14 @@ class OracleResult:
     nodes_explored: int
     method: str
 
-    def as_dict(self, include_stats: bool = True) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        """The result without its search statistics, which stay off the data stream."""
+        return {
             "params": {"k": self.params.k, "s": self.params.s, "n": self.params.n},
             "value": self.value,
             "witness": {"n": self.witness.n, "members": self.witness.member_elements()},
             "method": self.method,
         }
-        if include_stats:
-            out["nodes_explored"] = self.nodes_explored
-        return out
 
 
 def _check_cap(params: Parameters, cap: int) -> int:
@@ -130,16 +128,14 @@ def exists_covering_with_vc_at_most(
     params: Parameters,
     d: int,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
     stats: dict | None = None,
 ) -> SetFamily | None:
     """Find a k-covering s-uniform family on [n] with VC-dimension <= d, or None.
 
     Exhaustive over subfamilies of the full s-uniform family: depth-first,
     always branching on the canonically smallest uncovered k-set, pruning a
-    branch as soon as the partial family shatters any (d+1)-set.
-    ``workers`` is accepted for interface stability; the search is
-    sequential and its result does not depend on it.
+    branch as soon as the partial family shatters any (d+1)-set. When
+    ``stats`` is given, the search adds its node count to ``stats["nodes"]``.
     """
     _check_cap(params, cap)
     bound = min(params.s, params.n - params.s)
@@ -157,8 +153,11 @@ def _cached_vc(n: int, members: tuple[int, ...]) -> int:
     return vc_dimension(family_from_masks(n, members)).dimension
 
 
-def _oracle_enumerate(params: Parameters, cap: int, stats: dict | None) -> tuple[int, SetFamily]:
-    """Minimum over all covering subfamilies by full power-set enumeration."""
+def _oracle_enumerate(params: Parameters, cap: int) -> tuple[int, SetFamily, int]:
+    """Minimum over all covering subfamilies by full power-set enumeration.
+
+    Returns the minimum, its first witness and the count of subfamilies examined.
+    """
     universe_size = _check_cap(params, cap)
     universe = list(iter_fixed_size_masks(params.n, params.s))
     k_sets = list(iter_fixed_size_masks(params.n, params.k))
@@ -185,10 +184,8 @@ def _oracle_enumerate(params: Parameters, cap: int, stats: dict | None) -> tuple
             best_value, best_members = value, members
             if value == 0:
                 break
-    if stats is not None:
-        stats["nodes"] = stats.get("nodes", 0) + examined
     assert best_value is not None and best_members is not None
-    return best_value, family_from_masks(params.n, best_members)
+    return best_value, family_from_masks(params.n, best_members), examined
 
 
 def oracle_D(
@@ -203,21 +200,22 @@ def oracle_D(
     d; minimality of the returned value is certified by the completed
     refutation at d - 1. The "exhaustive" route enumerates every subfamily
     and must agree; it is the built-in cross-check.
+
+    ``workers`` is ignored, as the search is sequential; it stays only
+    because the benchmark's traced run (``bench/tracing.py``) passes it.
     """
     if method not in ("branch-and-bound", "exhaustive"):
         raise ValueError(f"unknown oracle method {method!r}")
-    stats: dict = {"nodes": 0}
     if method == "exhaustive":
-        value, witness = _oracle_enumerate(
-            params, DEFAULT_ENUM_CAP if cap is None else cap, stats
+        value, witness, examined = _oracle_enumerate(
+            params, DEFAULT_ENUM_CAP if cap is None else cap
         )
-        return OracleResult(params, value, witness, stats["nodes"], "exhaustive")
+        return OracleResult(params, value, witness, examined, "exhaustive")
     effective_cap = DEFAULT_CAP if cap is None else cap
+    stats = {"nodes": 0}
     bound = min(params.s, params.n - params.s)
     for d in range(bound + 1):
-        witness = exists_covering_with_vc_at_most(
-            params, d, cap=effective_cap, workers=workers, stats=stats
-        )
+        witness = exists_covering_with_vc_at_most(params, d, cap=effective_cap, stats=stats)
         if witness is not None:
             return OracleResult(params, d, witness, stats["nodes"], "branch-and-bound")
     raise AssertionError("full family always qualifies at d = min(s, n-s)")

@@ -34,9 +34,6 @@ class TraceSet:
     probe: int
     traces: frozenset[int]
 
-    def is_shattering(self) -> bool:
-        return len(self.traces) == 1 << self.probe.bit_count()
-
 
 @dataclass(frozen=True)
 class VcReport:
@@ -111,15 +108,13 @@ def _first_shattered(columns: list[int], size: int, everyone: int) -> int | None
     return dfs([everyone], len(columns), size)
 
 
-def vc_dimension(f: SetFamily, workers: int = 1) -> VcReport:
+def vc_dimension(f: SetFamily) -> VcReport:
     """Exact VC-dimension of a nonempty family, with witness and refutation.
 
     The search is capped by min(n, largest member size, log2 |F|, number of
     active elements); a shattered set cannot exceed any of these. When the
     scan stops below the cap, the refutation at dimension + 1 is the
     completed exhaustive pass; at the cap it is the counting bound itself.
-    ``workers`` is accepted for interface stability; the search is
-    sequential and its result does not depend on it.
     """
     if not f.members:
         raise ValueError("VC-dimension is undefined for the empty family")

@@ -149,12 +149,6 @@ class TestVcDimension:
             assert d <= math.floor(math.log2(len(f.members))), name
             assert d <= max(m.bit_count() for m in f.members), name
 
-    def test_worker_counts_agree(self, corpus):
-        for name, f in list(corpus)[:12]:
-            if not f.members:
-                continue
-            assert vc_dimension(f, workers=4) == vc_dimension(f, workers=1), name
-
 
 class TestSauerShelahSum:
     def test_direct_addition(self):

@@ -5,6 +5,7 @@ import pytest
 
 from vccover import (
     Parameters,
+    covering_witness_family,
     explore,
     family_certifies_upper,
     lower_bound_certificate,
@@ -12,6 +13,7 @@ from vccover import (
     monotonicity_scan,
     oracle_D,
     read_family,
+    recursive_family,
     rows_to_csv,
     stab_upper,
     stabilized_ground_size,
@@ -224,3 +226,26 @@ class TestExplore:
         assert stab_upper(rows) is None or all(
             r.stab_upper_hint for r in rows if r.n >= stab_upper(rows)
         )
+
+
+class TestParameterValidation:
+    """Every entry point rejects bad parameters through the one check it reaches."""
+
+    @pytest.mark.parametrize("k, s, n", [(0, 2, 5), (3, 2, 5), (2, 6, 5), (2, 3, 257)])
+    @pytest.mark.parametrize(
+        "entry", [covering_witness_family, lower_bound_certificate, upper_bound_certificate]
+    )
+    def test_triple(self, entry, k, s, n):
+        with pytest.raises(ValueError):
+            entry(k, s, n)
+
+    @pytest.mark.parametrize("k, s", [(0, 2), (3, 2)])
+    def test_main_theorem_pair(self, k, s):
+        with pytest.raises(ValueError):
+            verify_main_theorem(k, s)
+
+    @pytest.mark.parametrize("m, k", [(1, 2), (3, 0)])
+    @pytest.mark.parametrize("entry", [recursive_family, verify_prop_const])
+    def test_recursive_shape(self, entry, m, k):
+        with pytest.raises(ValueError):
+            entry(m, k)
