@@ -11,7 +11,12 @@ Two independent routes:
 The branch-and-bound packs the traces of the partial family on every
 (d+1)-probe into one int, a field of pattern bits per probe (see
 `_Search`), so adding a member is one OR and the shattering test for all
-probes is one addition.
+probes is one addition. Two more facts prune the search. "VC <= d" is
+hereditary, so a candidate whose branch failed under a node lies in no
+covering below that node's later siblings, and is excluded there. And
+Sym({k+1..n}) fixes the root's k-set {1..k} and permutes its s-supersets
+transitively, so a covering exists iff one contains {1..s}, the root's
+first branch; the other root branches are never entered.
 
 Both routes are sequential and deterministic: branches and subfamilies run
 in canonical order, so value, witness and node count never depend on the
@@ -83,6 +88,15 @@ class _Search:
     A probe is shattered when its P pattern bits are all set, which is
     exactly when adding 1 at the field's low end carries into its guard;
     no other field carries, so one addition tests every probe.
+
+    `allowed` is a bitmask of the universe indices a subtree may still use.
+    Once branch j under a node fails, by a shattered probe or an empty
+    subtree, j is dropped from `allowed` for the node's later siblings and
+    everything below them: by heredity, any covering with VC <= d holding
+    the node's members and j would have been found in branch j. The root
+    tries only its first candidate {1..s} (see the module docstring). Both
+    prunes cut only failing subtrees, so the DFS meets solutions in the
+    same order and returns the same witness.
     """
 
     def __init__(self, params: Parameters, d: int):
@@ -91,8 +105,9 @@ class _Search:
         k_sets = list(iter_fixed_size_masks(n, k))
         self.all_covered = (1 << len(k_sets)) - 1
         self.coverage_of = _coverage_table(self.universe, k_sets)
+        # candidates_for[i]: bitmap of the universe indices covering k-set i
         self.candidates_for = [
-            [j for j, bits in enumerate(self.coverage_of) if bits >> i & 1]
+            sum(1 << j for j, bits in enumerate(self.coverage_of) if bits >> i & 1)
             for i in range(len(k_sets))
         ]
         width = (1 << (d + 1)) + 1
@@ -108,19 +123,40 @@ class _Search:
         self.guard = self.ones << (width - 1)
         self.nodes = 0
 
-    def dfs(self, covered: int, chosen: tuple[int, ...], state: int) -> tuple[int, ...] | None:
+    def search(self) -> tuple[int, ...] | None:
+        """The members of the first covering in DFS order, or None.
+
+        The root branches on the k-set {1..k} and, by symmetry, enters only
+        its first candidate, universe[0] = {1..s}; one member shatters no
+        probe, so that branch needs no test. Every index starts allowed.
+        """
         self.nodes += 1
-        if covered == self.all_covered:
+        found = self.dfs(self.all_covered & ~self.coverage_of[0], 1, self.words[0], -1)
+        if found is None:
+            return None
+        return tuple(member for j, member in enumerate(self.universe) if found >> j & 1)
+
+    def dfs(self, missing: int, chosen: int, state: int, allowed: int) -> int | None:
+        """Bitmap of the chosen universe indices of the first covering below, or None.
+
+        `missing` is the bitmap of uncovered k-sets, `chosen` that of the
+        universe indices taken so far.
+        """
+        self.nodes += 1
+        if not missing:
             return chosen
-        missing = ~covered & self.all_covered
-        first_uncovered = (missing & -missing).bit_length() - 1
-        for j in self.candidates_for[first_uncovered]:
-            grown = state | self.words[j]
-            if (grown + self.ones) & self.guard:
-                continue
-            result = self.dfs(covered | self.coverage_of[j], chosen + (self.universe[j],), grown)
-            if result is not None:
-                return result
+        live = self.candidates_for[(missing & -missing).bit_length() - 1] & allowed
+        words, ones, guard, coverage_of = self.words, self.ones, self.guard, self.coverage_of
+        while live:
+            low = live & -live
+            live ^= low
+            j = low.bit_length() - 1
+            grown = state | words[j]
+            if not (grown + ones) & guard:
+                result = self.dfs(missing & ~coverage_of[j], chosen | low, grown, allowed)
+                if result is not None:
+                    return result
+            allowed ^= low
         return None
 
 
@@ -134,15 +170,17 @@ def exists_covering_with_vc_at_most(
 
     Exhaustive over subfamilies of the full s-uniform family: depth-first,
     always branching on the canonically smallest uncovered k-set, pruning a
-    branch as soon as the partial family shatters any (d+1)-set. When
-    ``stats`` is given, the search adds its node count to ``stats["nodes"]``.
+    branch as soon as the partial family shatters any (d+1)-set, never
+    re-entering a refuted sibling and entering only the first root branch
+    (see `_Search`). When ``stats`` is given, the search adds its node
+    count to ``stats["nodes"]``.
     """
     _check_cap(params, cap)
     bound = min(params.s, params.n - params.s)
     if not (0 <= d <= bound):
         raise ValueError(f"need 0 <= d <= min(s, n-s) = {bound}, got d={d}")
     search = _Search(params, d)
-    found = search.dfs(0, (), 0)
+    found = search.search()
     if stats is not None:
         stats["nodes"] = stats.get("nodes", 0) + search.nodes
     return None if found is None else family_from_masks(params.n, found)

@@ -6,9 +6,10 @@ candidate by candidate against every other member for faces; for the
 oracle, the branch-and-bound with a dict of trace sets per probe. They
 share no code with the kernels beyond mask enumeration, and the tests
 demand exact equality of the reports, witnesses included, so a kernel that
-finds a valid but non-canonical witness fails here. The oracle test also
-demands the same node count, so the packed search must visit exactly the
-nodes the reference visits.
+finds a valid but non-canonical witness fails here. The oracle reference
+is the plain DFS, without the packed search's refuted-sibling exclusion
+and root symmetry; the packed search must return the same witness or None
+on every case and may visit no more nodes than the reference.
 """
 
 import math
@@ -128,7 +129,10 @@ def test_incidence_columns_list_the_members_of_each_element(corpus):
 
 
 class ReferenceSearch:
-    """The oracle's branch-and-bound with the traces of each probe in a frozenset."""
+    """The oracle's plain DFS, with no sibling exclusion or root symmetry.
+
+    The traces of each probe live in a frozenset.
+    """
 
     def __init__(self, params: Parameters, d: int):
         k, s, n = params.k, params.s, params.n
@@ -215,6 +219,6 @@ def test_oracle_search_matches_reference():
                     stats: dict = {}
                     assert exists_covering_with_vc_at_most(params, d, stats=stats) == expected, \
                         (k, s, n, d)
-                    assert stats["nodes"] == reference.nodes, (k, s, n, d)
+                    assert stats["nodes"] <= reference.nodes, (k, s, n, d)
                     cases += 1
     assert cases == 152

@@ -30,11 +30,18 @@ FROZEN_VALUES = {
 # (--cap 126): the search order is part of the contract, so a change of
 # state representation must leave these counts exactly as they are.
 BENCH_NODE_COUNTS = {
-    (2, 4, 8): 11_598,
-    (3, 5, 8): 14_571,
-    (2, 6, 9): 17_596,
-    (2, 4, 9): 37_716,
-    (2, 5, 8): 51_608,
+    (2, 4, 8): 299,
+    (3, 5, 8): 858,
+    (2, 6, 9): 4_702,
+    (2, 4, 9): 524,
+    (2, 5, 8): 891,
+}
+
+# Triples with D = 3 whose d = 2 refutation is nearly all of the search:
+# (total nodes, d = 2 nodes) at --cap 126.
+HARD_NODE_COUNTS = {
+    (3, 4, 7): (58_499, 58_413),
+    (3, 4, 8): (221_871, 221_716),
 }
 
 
@@ -133,3 +140,21 @@ class TestOracle:
         payload = result.as_dict()
         assert payload["value"] == 1
         assert "nodes_explored" not in payload
+
+
+class TestHardTriples:
+    def test_value_and_witness(self):
+        for triple, (nodes, _) in HARD_NODE_COUNTS.items():
+            result = oracle_D(Parameters(*triple), cap=126)
+            assert result.value == 3, triple
+            assert is_k_covering(result.witness, 3).holds, triple
+            assert vc_dimension(result.witness).dimension == 3, triple
+            assert result.nodes_explored == nodes, triple
+
+    def test_refuted_at_two(self):
+        for triple, (_, nodes) in HARD_NODE_COUNTS.items():
+            stats: dict = {}
+            assert exists_covering_with_vc_at_most(
+                Parameters(*triple), 2, cap=126, stats=stats
+            ) is None, triple
+            assert stats["nodes"] == nodes, triple
