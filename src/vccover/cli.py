@@ -7,9 +7,9 @@ time go to stderr, so the data stream is byte-reproducible across runs and
 worker counts. Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage
 error, 3 feasibility-cap error.
 
-Each handler imports the library modules it calls, and json only on the
-JSON paths, so a process loads just what its command uses: start-up is
-most of the cost of a short command.
+Start-up is most of the cost of a short command, so each handler imports
+the library modules it calls (json only on JSON paths), and the records are
+named tuples or slotted classes, whose import pulls in no inspect or ast.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict
 
 from .bitsets import elements_of
 from .families import (
@@ -288,7 +287,7 @@ def _run_explore(args: argparse.Namespace) -> tuple[int, str]:
     attained = sorted(surjectivity_scan(rows))
     if args.format == "json":
         payload = {
-            "rows": [asdict(row) for row in rows],
+            "rows": [row._asdict() for row in rows],
             "stab_upper_hint": hint,
             "non_monotone_pairs": drops,
             "attained_values": attained,

@@ -9,28 +9,29 @@ derived families are byte-reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bitsets import MAX_GROUND, elements_of, full_mask, iter_fixed_size_masks
 from .families import Parameters, SetFamily, family_from_masks
 
 
-@dataclass(frozen=True)
-class HypercubeSpec:
+class HypercubeSpec(namedtuple("HypercubeSpec", "k m")):
     """Width-k coordinate grid with m axes, relabeled into [(k+1)^m].
 
     A point (a_1, ..., a_m) with a_i in {0..k} gets label
     1 + sum_i a_i * (k+1)^(i-1).
     """
 
-    k: int
-    m: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.m < 1:
-            raise ValueError(f"need k >= 1 and m >= 1, got k={self.k} m={self.m}")
+    def __new__(cls, k: int, m: int) -> HypercubeSpec:
+        if k < 1 or m < 1:
+            raise ValueError(f"need k >= 1 and m >= 1, got k={k} m={m}")
+        self = super().__new__(cls, k, m)
         if self.ground_size > MAX_GROUND:
             raise ValueError(f"ground size {self.ground_size} exceeds maximum {MAX_GROUND}")
+        return self
 
     @property
     def ground_size(self) -> int:
@@ -102,8 +103,7 @@ def base_pairs_family(m: int) -> SetFamily:
     """Consecutive pairs {2t-1, 2t} plus the closing pair {m-1, m}, on [m]."""
     if m < 2:
         raise ValueError(f"need m >= 2, got m={m}")
-    masks = [0b11 << (2 * t - 2) for t in range(1, m // 2 + 1)]
-    masks.append((0b11 << (m - 2)))
+    masks = [0b11 << (2 * t - 2) for t in range(1, m // 2 + 1)] + [0b11 << (m - 2)]
     return family_from_masks(m, masks)
 
 
@@ -115,10 +115,7 @@ def recursive_step(f: SetFamily) -> SetFamily:
     """
     if not f.is_uniform():
         raise ValueError("recursive step requires a uniform family")
-    masks = []
-    for m in f.members:
-        for i in range(m.bit_length() + 1, f.n + 2):
-            masks.append(m | (1 << (i - 1)))
+    masks = [m | (1 << (i - 1)) for m in f.members for i in range(m.bit_length() + 1, f.n + 2)]
     return family_from_masks(f.n + 1, masks)
 
 

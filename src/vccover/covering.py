@@ -10,15 +10,14 @@ elements' columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bitsets import elements_of, spread
 from .families import SetFamily, incidence_columns
 from .vc import vc_dimension
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(NamedTuple):
     """Outcome of a k-covering check; `uncovered` present iff it fails."""
 
     k: int
@@ -33,12 +32,11 @@ class CoverReport:
         }
 
 
-@dataclass(frozen=True)
-class FaceReport:
+class FaceReport(NamedTuple):
     """Unique-face check: for each member, a witness K contained in no other member."""
 
     holds: bool
-    faces: dict[int, int] = field(default_factory=dict)
+    faces: dict[int, int]
     violator: int | None = None
 
     def as_dict(self) -> dict:

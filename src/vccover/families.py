@@ -15,7 +15,7 @@ with one member per line, elements ascending, the empty member written as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .bitsets import (
@@ -39,33 +39,55 @@ class FeasibilityError(RuntimeError):
     """Universe size exceeds the configured feasibility cap."""
 
 
-@dataclass(frozen=True)
-class Parameters:
+class Parameters(namedtuple("Parameters", "k s n")):
     """The (k, s, n) triple: covering arity, member size, ground size."""
 
-    k: int
-    s: int
-    n: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace validates too
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.k <= self.s <= self.n):
-            raise ValueError(f"need 1 <= k <= s <= n, got k={self.k} s={self.s} n={self.n}")
-        if self.n > MAX_GROUND:
-            raise ValueError(f"ground size {self.n} exceeds maximum {MAX_GROUND}")
+    def __new__(cls, k: int, s: int, n: int) -> Parameters:
+        if not (1 <= k <= s <= n):
+            raise ValueError(f"need 1 <= k <= s <= n, got k={k} s={s} n={n}")
+        if n > MAX_GROUND:
+            raise ValueError(f"ground size {n} exceeds maximum {MAX_GROUND}")
+        return super().__new__(cls, k, s, n)
 
 
-@dataclass(frozen=True)
 class SetFamily:
     """An ordered, deduplicated family of subsets of [n].
 
     Immutable after construction.
     ``uniform_size`` is auto-detected metadata: set when every member has
     the same cardinality, None otherwise (and for the empty family).
+    Not a tuple: its length, iteration and ``in`` run over the members.
     """
 
-    n: int
-    members: tuple[int, ...]
-    uniform_size: int | None = None
+    __slots__ = ("n", "members", "uniform_size")
+
+    def __init__(self, n: int, members: tuple[int, ...], uniform_size: int | None = None) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "uniform_size", uniform_size)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"SetFamily is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        # Pickling and copying go through __init__, as __setattr__ refuses slot state.
+        return SetFamily, (self.n, self.members, self.uniform_size)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.members, self.uniform_size) == (other.n, other.members, other.uniform_size)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.members, self.uniform_size))
+
+    def __repr__(self) -> str:
+        return f"SetFamily(n={self.n!r}, members={self.members!r}, uniform_size={self.uniform_size!r})"
 
     def __len__(self) -> int:
         return len(self.members)

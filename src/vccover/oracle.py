@@ -26,8 +26,8 @@ worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .bitsets import iter_fixed_size_masks
 from .families import (
@@ -41,8 +41,7 @@ from .families import (
 from .vc import vc_dimension
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """Exact minimum VC-dimension with a witness family and search statistics."""
 
     params: Parameters

@@ -21,22 +21,20 @@ columns of one probe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitsets import elements_of, is_within, spread
 from .families import SetFamily, incidence_columns
 
 
-@dataclass(frozen=True)
-class TraceSet:
+class TraceSet(NamedTuple):
     """The intersections {A ∩ S : S in family} for a probe A."""
 
     probe: int
     traces: frozenset[int]
 
 
-@dataclass(frozen=True)
-class VcReport:
+class VcReport(NamedTuple):
     """Exact VC-dimension with a maximal shattered witness.
 
     ``refuted_size`` is the smallest probe size at which nothing is

@@ -8,8 +8,7 @@ stated parameters, not an estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bitsets import elements_of, full_mask, mask_of
 from .covering import is_k_covering, unique_face
@@ -24,8 +23,7 @@ LOWER_KIND = "lower-vc-ge-k"
 UPPER_KIND = "upper-vc-le-k"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Exact-arithmetic record of a one-sided bound on the minimum VC-dimension.
 
     Lower kind: holds when the covering-forced family size beats the
@@ -54,8 +52,7 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
-class ExplorationRow:
+class ExplorationRow(NamedTuple):
     """One (k, s, n) line of the exploration table."""
 
     k: int
@@ -129,8 +126,7 @@ def upper_bound_certificate(k: int, s: int, n: int, witness_path: str | None = N
     )
 
 
-@dataclass(frozen=True)
-class PropConstReport:
+class PropConstReport(NamedTuple):
     """Per-item verification of the recursive family's stated properties."""
 
     m: int
@@ -215,8 +211,7 @@ def verify_prop_const(m: int, k: int) -> PropConstReport:
     )
 
 
-@dataclass(frozen=True)
-class MainTheoremReport:
+class MainTheoremReport(NamedTuple):
     """Desk-scale check that the minimum VC-dimension equals k at the stabilized ground size."""
 
     k: int
@@ -310,22 +305,17 @@ def stab_upper(rows: list[ExplorationRow]) -> int | None:
     """
     candidate: int | None = None
     for row in sorted(rows, key=lambda r: r.n):
-        if row.stab_upper_hint:
-            if candidate is None:
-                candidate = row.n
-        else:
+        if not row.stab_upper_hint:
             candidate = None
+        elif candidate is None:
+            candidate = row.n
     return candidate
 
 
 def monotonicity_scan(rows: list[ExplorationRow]) -> list[tuple[int, int, int, int]]:
     """Adjacent sampled pairs where the exact value strictly drops as n grows."""
     known = sorted((r.n, r.exact) for r in rows if r.exact is not None)
-    drops = []
-    for (n1, v1), (n2, v2) in zip(known, known[1:]):
-        if v2 < v1:
-            drops.append((n1, v1, n2, v2))
-    return drops
+    return [(n1, v1, n2, v2) for (n1, v1), (n2, v2) in zip(known, known[1:]) if v2 < v1]
 
 
 def surjectivity_scan(rows: list[ExplorationRow]) -> set[int]:
@@ -334,16 +324,12 @@ def surjectivity_scan(rows: list[ExplorationRow]) -> set[int]:
 
 
 def rows_to_csv(rows: list[ExplorationRow]) -> str:
-    """Frozen CSV schema: k,s,n,lower,upper,exact,method."""
+    """Frozen CSV schema: k,s,n,lower,upper,exact,method; csv writes a None exact as ""."""
     import csv
     import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "s", "n", "lower", "upper", "exact", "method"])
-    for row in sorted(rows, key=lambda r: (r.k, r.s, r.n)):
-        writer.writerow(
-            [row.k, row.s, row.n, row.lower, row.upper,
-             "" if row.exact is None else row.exact, row.method]
-        )
+    writer.writerow(ExplorationRow._fields)
+    writer.writerows(sorted(rows, key=lambda r: (r.k, r.s, r.n)))
     return buf.getvalue()

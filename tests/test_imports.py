@@ -25,6 +25,9 @@ print(" ".join(sorted(sys.modules)))
 
 NEVER_LOADED = {"vccover.verify", "concurrent.futures", "fractions", "csv"}
 
+# `dataclasses` and what it imports; the records are named tuples instead.
+NEVER_AT_STARTUP = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
 COMMANDS = {
     "help": ["--help"],
     "construct": ["construct", "hypercube", "-k", "2", "-m", "3"],
@@ -34,7 +37,17 @@ COMMANDS = {
 }
 
 
-def loaded_modules(*argv: str) -> set[str]:
+STARTUP_COMMANDS = {
+    **COMMANDS,
+    "verify": ["verify", "main", "-k", "2", "-s", "3"],
+    "explore": ["explore", "-k", "2", "-s", "3", "-n", "3:6"],
+}
+
+
+def loaded_modules(argv: list[str], tmp_path) -> set[str]:
+    family = tmp_path / "f.vcfam"
+    family.write_text(write_family(full_family(5, 2)))
+    argv = [a.format(family=family) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, timeout=180
     )
@@ -44,13 +57,17 @@ def loaded_modules(*argv: str) -> set[str]:
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_command_loads_only_what_it_uses(command, tmp_path):
-    family = tmp_path / "f.vcfam"
-    family.write_text(write_family(full_family(5, 2)))
-    argv = [a.format(family=family) for a in COMMANDS[command]]
-    loaded = loaded_modules(*argv)
+    loaded = loaded_modules(COMMANDS[command], tmp_path)
     assert "vccover.cli" in loaded
     assert not NEVER_LOADED & loaded
     assert ("vccover.oracle" in loaded) == (command == "oracle")
+
+
+@pytest.mark.parametrize("command", sorted(STARTUP_COMMANDS))
+def test_command_never_loads_dataclasses(command, tmp_path):
+    loaded = loaded_modules(STARTUP_COMMANDS[command], tmp_path)
+    assert "vccover.cli" in loaded
+    assert not NEVER_AT_STARTUP & loaded
 
 
 def test_package_import_loads_no_submodule():
