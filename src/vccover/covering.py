@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from .bitsets import elements_of, spread
 from .families import SetFamily, incidence_columns
-from .vc import vc_dimension
 
 
 class CoverReport(NamedTuple):
@@ -125,4 +124,6 @@ def ufp_implies_vc_bound_check(f: SetFamily) -> bool:
         raise ValueError("check requires a uniform family")
     if not unique_face(f).holds:
         return True
+    from .vc import vc_dimension
+
     return vc_dimension(f).dimension < f.uniform_size

@@ -18,6 +18,10 @@ Sym({k+1..n}) fixes the root's k-set {1..k} and permutes its s-supersets
 transitively, so a covering exists iff one contains {1..s}, the root's
 first branch; the other root branches are never entered.
 
+One `_Search` per (k, s, n) serves both routes: its universe, coverage
+table and candidate bitmaps are built once, after the cap check, and
+serve every d of the scan; only the pattern words are built per d.
+
 Both routes are sequential and deterministic: branches and subfamilies run
 in canonical order, so value, witness and node count never depend on the
 worker count.
@@ -29,7 +33,7 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bitsets import iter_fixed_size_masks
+from .bitsets import elements_of, iter_fixed_size_masks, spread
 from .families import (
     DEFAULT_CAP,
     DEFAULT_ENUM_CAP,
@@ -38,7 +42,6 @@ from .families import (
     SetFamily,
     family_from_masks,
 )
-from .vc import vc_dimension
 
 
 class OracleResult(NamedTuple):
@@ -60,25 +63,13 @@ class OracleResult(NamedTuple):
         }
 
 
-def _check_cap(params: Parameters, cap: int) -> int:
-    universe_size = math.comb(params.n, params.s)
-    if universe_size > cap:
-        raise FeasibilityError(
-            f"universe C({params.n},{params.s}) = {universe_size} exceeds cap {cap}"
-        )
-    return universe_size
-
-
-def _coverage_table(universe: list[int], k_sets: list[int]) -> list[int]:
-    """coverage_of[j]: bitmap of the indices of the k-sets inside universe[j]."""
-    return [
-        sum(1 << i for i, a in enumerate(k_sets) if a & member == a)
-        for member in universe
-    ]
-
-
 class _Search:
-    """Branch-and-bound state for one (k, s, n, d) decision instance.
+    """Branch-and-bound over the subfamilies of one (k, s, n) universe.
+
+    The constructor checks the cap, then builds everything that does not
+    depend on d once per triple: the universe of s-sets, the coverage
+    table and the candidate bitmaps. `search(d)` builds only the pattern
+    words for its d, and `nodes` counts the nodes of every search run.
 
     The traces of a partial family live in one int with a field of P + 1
     bits per (d+1)-probe, P = 2^(d+1): bit t of a field is set when some
@@ -98,37 +89,48 @@ class _Search:
     same order and returns the same witness.
     """
 
-    def __init__(self, params: Parameters, d: int):
+    def __init__(self, params: Parameters, cap: int):
         k, s, n = params.k, params.s, params.n
+        universe_size = math.comb(n, s)
+        if universe_size > cap:
+            raise FeasibilityError(f"universe C({n},{s}) = {universe_size} exceeds cap {cap}")
+        self.n = n
         self.universe = list(iter_fixed_size_masks(n, s))
         k_sets = list(iter_fixed_size_masks(n, k))
         self.all_covered = (1 << len(k_sets)) - 1
-        self.coverage_of = _coverage_table(self.universe, k_sets)
+        # coverage_of[j]: bitmap of the indices of the k-sets inside universe[j]
+        self.coverage_of = [
+            sum(1 << i for i, a in enumerate(k_sets) if a & member == a)
+            for member in self.universe
+        ]
         # candidates_for[i]: bitmap of the universe indices covering k-set i
         self.candidates_for = [
             sum(1 << j for j, bits in enumerate(self.coverage_of) if bits >> i & 1)
             for i in range(len(k_sets))
         ]
+        self.nodes = 0
+
+    def search(self, d: int) -> tuple[int, ...] | None:
+        """The members of the first covering with VC <= d in DFS order, or None.
+
+        A member's pattern word sets, in each probe's field, the bit of its
+        trace on that probe: one lookup of `member & probe` in the probe's
+        table of its 2^(d+1) traces. The root branches on the k-set {1..k}
+        and, by symmetry, enters only its first candidate, universe[0] =
+        {1..s}; one member shatters no probe, so that branch needs no test.
+        Every index starts allowed.
+        """
         width = (1 << (d + 1)) + 1
         self.words = [0] * len(self.universe)
         self.ones = 0
-        for p, probe in enumerate(iter_fixed_size_masks(n, d + 1)):
+        for p, probe in enumerate(iter_fixed_size_masks(self.n, d + 1)):
             offset = p * width
             self.ones |= 1 << offset
-            positions = [i for i in range(n) if probe >> i & 1]
+            positions = elements_of(probe)
+            bit_of = {spread(t, positions): 1 << (offset + t) for t in range(width - 1)}
             for j, member in enumerate(self.universe):
-                pattern = sum(1 << b for b, i in enumerate(positions) if member >> i & 1)
-                self.words[j] |= 1 << (offset + pattern)
+                self.words[j] |= bit_of[member & probe]
         self.guard = self.ones << (width - 1)
-        self.nodes = 0
-
-    def search(self) -> tuple[int, ...] | None:
-        """The members of the first covering in DFS order, or None.
-
-        The root branches on the k-set {1..k} and, by symmetry, enters only
-        its first candidate, universe[0] = {1..s}; one member shatters no
-        probe, so that branch needs no test. Every index starts allowed.
-        """
         self.nodes += 1
         found = self.dfs(self.all_covered & ~self.coverage_of[0], 1, self.words[0], -1)
         if found is None:
@@ -174,12 +176,11 @@ def exists_covering_with_vc_at_most(
     (see `_Search`). When ``stats`` is given, the search adds its node
     count to ``stats["nodes"]``.
     """
-    _check_cap(params, cap)
+    search = _Search(params, cap)
     bound = min(params.s, params.n - params.s)
     if not (0 <= d <= bound):
         raise ValueError(f"need 0 <= d <= min(s, n-s) = {bound}, got d={d}")
-    search = _Search(params, d)
-    found = search.search()
+    found = search.search(d)
     if stats is not None:
         stats["nodes"] = stats.get("nodes", 0) + search.nodes
     return None if found is None else family_from_masks(params.n, found)
@@ -187,23 +188,22 @@ def exists_covering_with_vc_at_most(
 
 @lru_cache(maxsize=65536)
 def _cached_vc(n: int, members: tuple[int, ...]) -> int:
+    from .vc import vc_dimension
+
     return vc_dimension(family_from_masks(n, members)).dimension
 
 
-def _oracle_enumerate(params: Parameters, cap: int) -> tuple[int, SetFamily, int]:
+def _oracle_enumerate(search: _Search) -> tuple[int, SetFamily, int]:
     """Minimum over all covering subfamilies by full power-set enumeration.
 
-    Returns the minimum, its first witness and the count of subfamilies examined.
+    Reads the universe and coverage table of `search`. Returns the minimum,
+    its first witness and the count of subfamilies examined.
     """
-    universe_size = _check_cap(params, cap)
-    universe = list(iter_fixed_size_masks(params.n, params.s))
-    k_sets = list(iter_fixed_size_masks(params.n, params.k))
-    all_covered = (1 << len(k_sets)) - 1
-    coverage_of = _coverage_table(universe, k_sets)
+    universe, coverage_of = search.universe, search.coverage_of
     best_value: int | None = None
     best_members: tuple[int, ...] | None = None
     examined = 0
-    for selector in range(1, 1 << universe_size):
+    for selector in range(1, 1 << len(universe)):
         examined += 1
         covered = 0
         sel = selector
@@ -211,18 +211,16 @@ def _oracle_enumerate(params: Parameters, cap: int) -> tuple[int, SetFamily, int
             low = sel & -sel
             covered |= coverage_of[low.bit_length() - 1]
             sel ^= low
-        if covered != all_covered:
+        if covered != search.all_covered:
             continue
-        members = tuple(
-            universe[j] for j in range(universe_size) if selector >> j & 1
-        )
-        value = _cached_vc(params.n, members)
+        members = tuple(member for j, member in enumerate(universe) if selector >> j & 1)
+        value = _cached_vc(search.n, members)
         if best_value is None or value < best_value:
             best_value, best_members = value, members
             if value == 0:
                 break
     assert best_value is not None and best_members is not None
-    return best_value, family_from_masks(params.n, best_members), examined
+    return best_value, family_from_masks(search.n, best_members), examined
 
 
 def oracle_D(
@@ -243,16 +241,15 @@ def oracle_D(
     """
     if method not in ("branch-and-bound", "exhaustive"):
         raise ValueError(f"unknown oracle method {method!r}")
-    if method == "exhaustive":
-        value, witness, examined = _oracle_enumerate(
-            params, DEFAULT_ENUM_CAP if cap is None else cap
-        )
-        return OracleResult(params, value, witness, examined, "exhaustive")
-    effective_cap = DEFAULT_CAP if cap is None else cap
-    stats = {"nodes": 0}
-    bound = min(params.s, params.n - params.s)
-    for d in range(bound + 1):
-        witness = exists_covering_with_vc_at_most(params, d, cap=effective_cap, stats=stats)
-        if witness is not None:
-            return OracleResult(params, d, witness, stats["nodes"], "branch-and-bound")
+    exhaustive = method == "exhaustive"
+    if cap is None:
+        cap = DEFAULT_ENUM_CAP if exhaustive else DEFAULT_CAP
+    search = _Search(params, cap)
+    if exhaustive:
+        value, witness, examined = _oracle_enumerate(search)
+        return OracleResult(params, value, witness, examined, method)
+    for d in range(min(params.s, params.n - params.s) + 1):
+        found = search.search(d)
+        if found is not None:
+            return OracleResult(params, d, family_from_masks(params.n, found), search.nodes, method)
     raise AssertionError("full family always qualifies at d = min(s, n-s)")

@@ -61,6 +61,7 @@ def test_command_loads_only_what_it_uses(command, tmp_path):
     assert "vccover.cli" in loaded
     assert not NEVER_LOADED & loaded
     assert ("vccover.oracle" in loaded) == (command == "oracle")
+    assert ("vccover.vc" in loaded) == (command == "vcdim")
 
 
 @pytest.mark.parametrize("command", sorted(STARTUP_COMMANDS))

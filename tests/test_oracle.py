@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -68,6 +69,19 @@ class TestExistsCovering:
         with pytest.raises(FeasibilityError):
             exists_covering_with_vc_at_most(Parameters(2, 3, 9), 1)
 
+    @pytest.mark.parametrize("call", [
+        lambda p: oracle_D(p),
+        lambda p: oracle_D(p, method="exhaustive"),
+        lambda p: exists_covering_with_vc_at_most(p, 2),
+    ], ids=["branch-and-bound", "exhaustive", "decision"])
+    def test_over_cap_refused_before_any_table(self, call):
+        # C(24,12) = 2,704,156 s-sets: building any table would take far
+        # longer than the bound below.
+        start = time.perf_counter()
+        with pytest.raises(FeasibilityError, match="exceeds cap"):
+            call(Parameters(3, 12, 24))
+        assert time.perf_counter() - start < 1.0
+
 
 class TestOracle:
     def test_whole_ground_is_trivial(self):
@@ -130,6 +144,22 @@ class TestOracle:
     def test_bench_node_counts_pinned(self):
         for triple, nodes in BENCH_NODE_COUNTS.items():
             assert oracle_D(Parameters(*triple), cap=126).nodes_explored == nodes, triple
+
+    def test_scan_is_the_per_d_decisions(self):
+        # oracle_D's value and witness are those of the first d at which the
+        # decision search finds a covering, and its node count is the sum of
+        # the decision searches' counts over d = 0..D.
+        triples = list(BENCH_NODE_COUNTS) + list(FROZEN_VALUES)
+        for triple in triples:
+            params = Parameters(*triple)
+            stats: dict = {}
+            for d in range(min(params.s, params.n - params.s) + 1):
+                witness = exists_covering_with_vc_at_most(params, d, cap=126, stats=stats)
+                if witness is not None:
+                    break
+            result = oracle_D(params, cap=126)
+            assert (result.value, result.witness) == (d, witness), triple
+            assert result.nodes_explored == stats["nodes"], triple
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
