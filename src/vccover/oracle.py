@@ -176,10 +176,10 @@ def exists_covering_with_vc_at_most(
     (see `_Search`). When ``stats`` is given, the search adds its node
     count to ``stats["nodes"]``.
     """
-    search = _Search(params, cap)
     bound = min(params.s, params.n - params.s)
     if not (0 <= d <= bound):
         raise ValueError(f"need 0 <= d <= min(s, n-s) = {bound}, got d={d}")
+    search = _Search(params, cap)
     found = search.search(d)
     if stats is not None:
         stats["nodes"] = stats.get("nodes", 0) + search.nodes

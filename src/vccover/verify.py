@@ -1,14 +1,14 @@
 """Exact-arithmetic certificates, construction verification, and exploration tables.
 
 Certificates never touch floating point: every inequality is evaluated
-over integers or fractions, so a holding certificate is a proof at the
-stated parameters, not an estimate.
+over integers, so a holding certificate is a proof at the stated
+parameters, not an estimate.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .bitsets import elements_of, full_mask, mask_of
 from .covering import is_k_covering, unique_face
@@ -16,15 +16,12 @@ from .constructions import covering_witness_family, full_family, recursive_famil
 from .families import DEFAULT_CAP, Parameters, SetFamily, family_from_masks, write_family
 from .vc import sauer_shelah_sum, shatters, vc_dimension
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 LOWER_KIND = "lower-vc-ge-k"
 UPPER_KIND = "upper-vc-le-k"
 
 
 class Certificate(NamedTuple):
-    """Exact-arithmetic record of a one-sided bound on the minimum VC-dimension.
+    """Exact integer record of a one-sided bound on the minimum VC-dimension.
 
     Lower kind: holds when the covering-forced family size beats the
     threshold at which families must have VC-dimension at least k.
@@ -34,8 +31,8 @@ class Certificate(NamedTuple):
 
     params: Parameters
     kind: str
-    inequality_lhs: Fraction
-    inequality_rhs: Fraction
+    inequality_lhs: int
+    inequality_rhs: int
     holds: bool
     witness_file: str | None = None
     sufficient_inequality_holds: bool | None = None
@@ -82,15 +79,13 @@ def lower_bound_certificate(k: int, s: int, n: int) -> Certificate:
 
     Holds when sum_{i<k} C(n,i) < ceil(C(n,k)/C(s,k)): the forced family
     size then exceeds the shattering threshold. The classical sufficient
-    inequality k*C(n,k-1) < C(n,k)/C(s,k) is reported alongside; it
-    implies the certificate for 2k <= n but can fail at the boundary while
-    the direct comparison still holds.
+    inequality k*C(n,k-1) < C(n,k)/C(s,k), compared cross-multiplied, is
+    reported alongside; it implies the certificate for 2k <= n but can
+    fail at the boundary while the direct comparison still holds.
     """
-    from fractions import Fraction
-
-    lhs = Fraction(sauer_shelah_sum(n, k))
-    rhs = Fraction(min_cover_size_lower_bound(k, s, n))
-    sufficient = Fraction(k * math.comb(n, k - 1)) < Fraction(math.comb(n, k), math.comb(s, k))
+    lhs = sauer_shelah_sum(n, k)
+    rhs = min_cover_size_lower_bound(k, s, n)
+    sufficient = k * math.comb(n, k - 1) * math.comb(s, k) < math.comb(n, k)
     return Certificate(
         params=Parameters(k, s, n),
         kind=LOWER_KIND,
@@ -108,8 +103,6 @@ def family_certifies_upper(f: SetFamily, k: int) -> bool:
 
 def upper_bound_certificate(k: int, s: int, n: int, witness_path: str | None = None) -> Certificate:
     """Build the witness family and certify D(k,s,n) <= k by direct verification."""
-    from fractions import Fraction
-
     witness = covering_witness_family(k, s, n)
     dim = vc_dimension(witness).dimension
     holds = is_k_covering(witness, k).holds and dim <= k
@@ -119,8 +112,8 @@ def upper_bound_certificate(k: int, s: int, n: int, witness_path: str | None = N
     return Certificate(
         params=Parameters(k, s, n),
         kind=UPPER_KIND,
-        inequality_lhs=Fraction(dim),
-        inequality_rhs=Fraction(k),
+        inequality_lhs=dim,
+        inequality_rhs=k,
         holds=holds,
         witness_file=witness_path,
     )

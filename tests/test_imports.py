@@ -23,10 +23,11 @@ with redirect_stdout(io.StringIO()):
 print(" ".join(sorted(sys.modules)))
 """
 
-NEVER_LOADED = {"vccover.verify", "concurrent.futures", "fractions", "csv"}
+NEVER_LOADED = {"vccover.verify", "concurrent.futures", "csv"}
 
 # `dataclasses` and what it imports; the records are named tuples instead.
-NEVER_AT_STARTUP = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# `fractions` and `decimal`: the certificates compare ints.
+NEVER_AT_STARTUP = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
 
 COMMANDS = {
     "help": ["--help"],

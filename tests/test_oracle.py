@@ -65,6 +65,13 @@ class TestExistsCovering:
         with pytest.raises(ValueError):
             exists_covering_with_vc_at_most(Parameters(1, 2, 4), 3)
 
+    def test_d_out_of_range_refused_before_any_table(self):
+        # C(18,9) = 48,620 s-sets fit the cap, but their tables take seconds.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="need 0 <= d"):
+            exists_covering_with_vc_at_most(Parameters(2, 9, 18), 10, cap=10**6)
+        assert time.perf_counter() - start < 1.0
+
     def test_cap_enforced(self):
         with pytest.raises(FeasibilityError):
             exists_covering_with_vc_at_most(Parameters(2, 3, 9), 1)

@@ -14,6 +14,7 @@ from vccover import (
     SetFamily,
     VcReport,
     is_k_covering,
+    lower_bound_certificate,
     make_family,
     oracle_D,
     vc_dimension,
@@ -29,6 +30,10 @@ def test_readme_library_reprs():
         "OracleResult(params=Parameters(k=2, s=3, n=5), value=2, "
         "witness=SetFamily(n=5, members=(7, 11, 13, 19, 21, 25), uniform_size=3), "
         "nodes_explored=25, method='branch-and-bound')"
+    )
+    assert repr(lower_bound_certificate(2, 3, 14)) == (
+        "Certificate(params=Parameters(k=2, s=3, n=14), kind='lower-vc-ge-k', inequality_lhs=15, "
+        "inequality_rhs=31, holds=True, witness_file=None, sufficient_inequality_holds=True)"
     )
 
 

@@ -82,9 +82,24 @@ class TestLowerBoundCertificate:
                     if sufficient:
                         assert lower_bound_certificate(k, s, n).holds, (k, s, n)
 
-    def test_exact_rationals_exposed(self):
+    def test_sufficient_flag_is_the_rational_inequality(self):
+        # The certificate compares cross-multiplied integers; the flag must
+        # equal the rational form everywhere, 2k > n included.
+        for k in range(1, 6):
+            for s in range(k, 6):
+                for n in range(s, 201):
+                    rational = Fraction(k * math.comb(n, k - 1)) < Fraction(
+                        math.comb(n, k), math.comb(s, k)
+                    )
+                    flag = lower_bound_certificate(k, s, n).sufficient_inequality_holds
+                    assert flag is rational, (k, s, n)
+
+    def test_exact_integers_exposed(self):
+        # Both sides are exact ints, never floats, for both certificate kinds.
         cert = lower_bound_certificate(2, 3, 14)
-        assert isinstance(cert.inequality_lhs, Fraction)
+        upper = upper_bound_certificate(2, 3, 8)
+        sides = (cert.inequality_lhs, cert.inequality_rhs, upper.inequality_lhs, upper.inequality_rhs)
+        assert all(type(side) is int for side in sides)
         payload = cert.as_dict()
         assert payload["inequality_lhs"] == "15"
         assert payload["kind"] == "lower-vc-ge-k"
