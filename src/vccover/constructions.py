@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .bitsets import MAX_GROUND, elements_of, full_mask, iter_fixed_size_masks
-from .families import Parameters, SetFamily, family_from_masks
+from .bitsets import MAX_GROUND, elements_of, full_mask
+from .families import Parameters, SetFamily, enumerate_subsets, family_from_masks
 
 
 class HypercubeSpec(namedtuple("HypercubeSpec", "k m")):
@@ -47,13 +47,15 @@ class HypercubeSpec(namedtuple("HypercubeSpec", "k m")):
 
 def full_family(n: int, s: int) -> SetFamily:
     """All C(n, s) subsets of size s, in canonical order."""
-    return family_from_masks(n, iter_fixed_size_masks(n, s))
+    return family_from_masks(n, enumerate_subsets(n, s))
 
 
 def initial_segment_family(n: int) -> SetFamily:
     """The proper initial segments of [n]: empty set, {1}, {1,2}, ..., {1..n-1}."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
+    if n > MAX_GROUND:
+        raise ValueError(f"ground size {n} exceeds maximum {MAX_GROUND}")
     return family_from_masks(n, ((1 << i) - 1 for i in range(n)))
 
 

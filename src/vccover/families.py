@@ -15,13 +15,14 @@ with one member per line, elements ascending, the empty member written as
 
 from __future__ import annotations
 
+import itertools
+import operator
 from collections import namedtuple
 from typing import Iterable, Iterator
 
 from .bitsets import (
     MAX_GROUND,
     elements_of,
-    is_within,
     iter_fixed_size_masks,
     mask_of,
 )
@@ -56,18 +57,28 @@ class Parameters(namedtuple("Parameters", "k s n")):
 class SetFamily:
     """An ordered, deduplicated family of subsets of [n].
 
-    Immutable after construction.
-    ``uniform_size`` is auto-detected metadata: set when every member has
-    the same cardinality, None otherwise (and for the empty family).
+    Immutable after construction, and canonical by construction: ``members``
+    must be strictly increasing masks inside [n], else ValueError.
+    ``uniform_size`` is derived metadata: the common cardinality of the
+    members, None when they differ (and for the empty family).
     Not a tuple: its length, iteration and ``in`` run over the members.
     """
 
     __slots__ = ("n", "members", "uniform_size")
 
-    def __init__(self, n: int, members: tuple[int, ...], uniform_size: int | None = None) -> None:
+    def __init__(self, n: int, members: tuple[int, ...]) -> None:
+        if n < 1:
+            raise ValueError("ground size must be a positive integer")
+        if n > MAX_GROUND:
+            raise ValueError(f"ground size {n} exceeds maximum {MAX_GROUND}")
+        if members and (members[0] < 0 or members[-1] >> n):
+            raise ValueError(f"member mask out of range for ground size {n}")
+        if any(map(operator.ge, members, itertools.islice(members, 1, None))):
+            raise ValueError("members must be distinct masks in increasing order")
+        sizes = {m.bit_count() for m in members}
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "uniform_size", uniform_size)
+        object.__setattr__(self, "uniform_size", sizes.pop() if len(sizes) == 1 else None)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"SetFamily is immutable: cannot change {name!r}")
@@ -76,15 +87,15 @@ class SetFamily:
 
     def __reduce__(self) -> tuple:
         # Pickling and copying go through __init__, as __setattr__ refuses slot state.
-        return SetFamily, (self.n, self.members, self.uniform_size)
+        return SetFamily, (self.n, self.members)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n, self.members, self.uniform_size) == (other.n, other.members, other.uniform_size)
+        return (self.n, self.members) == (other.n, other.members)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.members, self.uniform_size))
+        return hash((self.n, self.members))
 
     def __repr__(self) -> str:
         return f"SetFamily(n={self.n!r}, members={self.members!r}, uniform_size={self.uniform_size!r})"
@@ -123,18 +134,12 @@ def incidence_columns(f: SetFamily) -> list[int]:
 
 
 def family_from_masks(n: int, masks: Iterable[int]) -> SetFamily:
-    """Canonicalize masks (sort, dedupe, detect uniformity) into a SetFamily."""
-    if n < 1:
-        raise ValueError("ground size must be a positive integer")
-    if n > MAX_GROUND:
-        raise ValueError(f"ground size {n} exceeds maximum {MAX_GROUND}")
-    unique = sorted(set(masks))
-    for m in unique:
-        if not is_within(m, n):
-            raise ValueError(f"member {elements_of(m)} has elements outside [{n}]")
-    sizes = {m.bit_count() for m in unique}
-    uniform = sizes.pop() if len(sizes) == 1 else None
-    return SetFamily(n=n, members=tuple(unique), uniform_size=uniform)
+    """Canonicalize masks (sort, dedupe) into a SetFamily; uniformity is derived.
+
+    SetFamily checks n only after ``masks`` is read, so a caller passing a
+    lazy walk over [n] checks n first, as ``enumerate_subsets`` does.
+    """
+    return SetFamily(n, tuple(sorted(set(masks))))
 
 
 def make_family(n: int, members: Iterable[Iterable[int]]) -> SetFamily:
@@ -154,24 +159,18 @@ def make_family(n: int, members: Iterable[Iterable[int]]) -> SetFamily:
 
 def enumerate_subsets(n: int, r: int) -> Iterator[int]:
     """All C(n, r) subsets of [n] as masks, each exactly once, in canonical order."""
-    if n < 0 or n > MAX_GROUND:
-        raise ValueError(f"ground size {n} out of supported range")
+    if n > MAX_GROUND:
+        raise ValueError(f"ground size {n} exceeds maximum {MAX_GROUND}")
     if r < 0 or r > n:
         raise ValueError(f"subset size {r} out of range for ground size {n}")
     return iter_fixed_size_masks(n, r)
-
-
-def _format_member(mask: int) -> str:
-    if mask == 0:
-        return "-"
-    return " ".join(str(e) for e in elements_of(mask))
 
 
 def write_family(f: SetFamily) -> str:
     """Serialize to the canonical text format (LF line endings)."""
     s_field = "mixed" if f.uniform_size is None else str(f.uniform_size)
     lines = [FORMAT_HEADER, f"n={f.n} s={s_field}"]
-    lines.extend(_format_member(m) for m in f.members)
+    lines.extend(" ".join(map(str, elements_of(m))) or "-" for m in f.members)
     return "\n".join(lines) + "\n"
 
 
@@ -200,10 +199,7 @@ def _parse_header(lines: list[str]) -> tuple[int, int | None]:
     s_text = parts[1][2:]
     if s_text == "mixed":
         return n, None
-    s = _header_int(s_text, "s", lines[1])
-    if s < 0:
-        raise FamilyFormatError(f"malformed header: s={s} negative")
-    return n, s
+    return n, _header_int(s_text, "s", lines[1])
 
 
 def _append_member(masks: list[int], elements: Iterable[int], n: int, shown: str) -> None:
@@ -260,19 +256,11 @@ def read_family(text: str) -> SetFamily:
     masks: list[int] = []
     for line in lines[2:]:
         _append_member(masks, _line_elements(line), n, repr(line))
-    if declared_s is not None:
-        if not masks:
-            raise FamilyFormatError("empty family must declare s=mixed")
-        for m in masks:
-            if m.bit_count() != declared_s:
-                raise FamilyFormatError(
-                    f"member {_format_member(m)!r} has size {m.bit_count()}, header says s={declared_s}"
-                )
-    else:
-        sizes = {m.bit_count() for m in masks}
-        if len(sizes) == 1:
-            raise FamilyFormatError("header says s=mixed but members are uniform")
-    return SetFamily(n=n, members=tuple(masks), uniform_size=declared_s)
+    f = SetFamily(n, tuple(masks))
+    if f.uniform_size != declared_s:
+        actual = "no uniform size" if f.uniform_size is None else f"uniform size {f.uniform_size}"
+        raise FamilyFormatError(f"header {lines[1]!r} disagrees with the members: {actual}")
+    return f
 
 
 def write_family_json(f: SetFamily) -> str:
@@ -303,6 +291,4 @@ def read_family_json(text: str) -> SetFamily:
         if type(member) is not list or not all(type(e) is int for e in member):
             raise FamilyFormatError(f"bad member {member!r}")
         _append_member(masks, member, n, repr(member))
-    sizes = {m.bit_count() for m in masks}
-    uniform = sizes.pop() if len(sizes) == 1 else None
-    return SetFamily(n=n, members=tuple(masks), uniform_size=uniform)
+    return SetFamily(n, tuple(masks))

@@ -247,10 +247,11 @@ def verify_main_theorem(k: int, s: int) -> MainTheoremReport:
     )
 
 
-def _explore_one(k: int, s: int, n: int, cap: int) -> ExplorationRow:
+def _explore_one(params: Parameters, cap: int) -> ExplorationRow:
     # Only exploration rows search, so the verify commands never load the oracle.
     from .oracle import oracle_D
 
+    k, s, n = params
     lower = 0
     if s < n:
         # Any covering family with s < n needs two distinct members, which
@@ -263,7 +264,7 @@ def _explore_one(k: int, s: int, n: int, cap: int) -> ExplorationRow:
     exact: int | None = None
     method = ""
     if math.comb(n, s) <= cap:
-        exact = oracle_D(Parameters(k, s, n), cap=cap).value
+        exact = oracle_D(params, cap=cap).value
         method = "oracle"
     elif s == k or s == n:
         # The covering family is forced (the full family for s = k, the
@@ -283,11 +284,12 @@ def explore(
 ) -> list[ExplorationRow]:
     """Bracket the minimum VC-dimension over a range of ground sizes.
 
-    Rows are computed sequentially and returned sorted by n. ``workers`` is
-    ignored; it stays only because the benchmark's traced run
-    (``bench/tracing.py``) passes it.
+    All (k, s, n) are checked before any row runs; rows run in turn, sorted
+    by n. ``workers`` is ignored; it stays only because the benchmark's
+    traced run (``bench/tracing.py``) passes it.
     """
-    return [_explore_one(k, s, n, cap) for n in sorted(v for v in n_range if v >= s)]
+    triples = [Parameters(k, s, n) for n in sorted(v for v in n_range if v >= s)]
+    return [_explore_one(params, cap) for params in triples]
 
 
 def stab_upper(rows: list[ExplorationRow]) -> int | None:

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -58,6 +59,19 @@ class TestInitialSegments:
     def test_too_small(self):
         with pytest.raises(ValueError):
             initial_segment_family(1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: full_family(300, 150), lambda: initial_segment_family(10**6)],
+    ids=["full", "segments"],
+)
+def test_oversized_ground_refused_before_any_member(build):
+    # Either walk over [n] would exhaust memory long before it ended.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds maximum 256"):
+        build()
+    assert time.perf_counter() - start < 1.0
 
 
 class TestCone:

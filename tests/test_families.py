@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from vccover import (
     FamilyFormatError,
     Parameters,
+    SetFamily,
     elements_of,
     enumerate_subsets,
     make_family,
@@ -62,6 +63,52 @@ class TestMakeFamily:
         assert all(a < b for a, b in zip(masks, masks[1:]))
 
 
+class TestSetFamilyInvariant:
+    """The constructor is the one place that holds the canonical form."""
+
+    @pytest.mark.parametrize(
+        "n, members",
+        [
+            (4, (12, 3)),  # unsorted
+            (4, (3, 3, 12)),  # duplicate
+            (4, (-1, 3)),  # negative mask
+            (4, (3, 16)),  # element 5 outside [4]
+            (3, (32,)),  # element 6 outside [3]
+            (0, ()),
+            (257, (1,)),
+        ],
+    )
+    def test_non_canonical_refused(self, n, members):
+        with pytest.raises(ValueError):
+            SetFamily(n, members)
+
+    def test_uniform_size_derived(self):
+        assert SetFamily(4, (3, 12)).uniform_size == 2
+        assert SetFamily(4, (1, 6)).uniform_size is None
+        assert SetFamily(4, ()).uniform_size is None
+        assert SetFamily(256, (0, 1 << 255)).uniform_size is None
+
+    def test_constructed_family_round_trips(self):
+        f = SetFamily(4, (3, 12))
+        assert write_family(f) == "vcfam 1\nn=4 s=2\n1 2\n3 4\n"
+        assert read_family(write_family(f)) == f
+
+    @given(
+        st.integers(min_value=1, max_value=10).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(min_value=0, max_value=2**n - 1), max_size=12),
+            )
+        )
+    )
+    def test_text_and_json_round_trip(self, case):
+        # Built directly, so the constructor alone must get uniform_size right.
+        n, masks = case
+        f = SetFamily(n, tuple(sorted(set(masks))))
+        assert read_family(write_family(f)) == f
+        assert read_family_json(write_family_json(f)) == f
+
+
 class TestFileFormat:
     def test_read_example(self):
         f = read_family("vcfam 1\nn=4 s=2\n1 2\n3 4\n")
@@ -102,6 +149,12 @@ class TestFileFormat:
     def test_size_mismatch_rejected(self):
         with pytest.raises(FamilyFormatError, match="size"):
             read_family("vcfam 1\nn=4 s=3\n1 2\n")
+
+    @pytest.mark.parametrize("text", ["n=4 s=-1\n1 2\n", "n=4 s=-1\n", "n=4 s=0\n"])
+    def test_size_no_member_can_have_rejected(self, text):
+        # A negative s, or any s over the empty family, disagrees with every derived size.
+        with pytest.raises(FamilyFormatError, match="size"):
+            read_family("vcfam 1\n" + text)
 
     def test_mixed_header_for_uniform_members_rejected(self):
         with pytest.raises(FamilyFormatError, match="uniform"):

@@ -68,10 +68,9 @@ def test_set_family_runs_over_members():
 
 def test_set_family_equality_and_hash():
     f = make_family(4, [{1, 2}, {3, 4}])
-    g = SetFamily(n=4, members=(3, 12), uniform_size=2)
+    g = SetFamily(n=4, members=(3, 12))
     assert f == g and hash(f) == hash(g) and len({f, g}) == 1
     assert f != make_family(5, [{1, 2}, {3, 4}])
-    assert f != SetFamily(n=4, members=(3, 12))
     assert f != (4, (3, 12), 2) and (4, (3, 12), 2) != f
     assert f != (3, 12)
     assert pickle.loads(pickle.dumps(f)) == f

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,13 @@ class TestExplore:
         a = explore(2, 3, range(5, 8), workers=1)
         b = explore(2, 3, range(5, 8), workers=8)
         assert a == b
+
+    def test_out_of_range_n_refused_before_any_row(self):
+        # Rows 3..256 alone take over a minute.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="ground size 257 exceeds maximum 256"):
+            explore(2, 3, range(3, 258))
+        assert time.perf_counter() - start < 1.0
 
     def test_scans(self):
         rows = explore(2, 2, range(2, 7))
