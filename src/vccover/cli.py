@@ -38,6 +38,19 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
+# Each construct subcommand: its builder in vccover.constructions, then one
+# required option per builder argument, in order (--family a file, the rest ints).
+_CONSTRUCT = {
+    "full": ("full_family", "-n", "-s"),
+    "segments": ("initial_segment_family", "-n"),
+    "hypercube": ("hypercube_family", "-k", "-m"),
+    "fk": ("recursive_family", "-m", "-k"),
+    "witness": ("covering_witness_family", "-k", "-s", "-n"),
+    "cone": ("cone", "--family"),
+    "product": ("product", "--family", "-l"),
+}
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -79,26 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
     construct = sub.add_parser("construct", help="build a family and emit it canonically")
     construct.set_defaults(run=_run_construct)
     csub = construct.add_subparsers(dest="what", required=True)
-    p = csub.add_parser("full", parents=[common])
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-s", type=int, required=True)
-    p = csub.add_parser("segments", parents=[common])
-    p.add_argument("-n", type=int, required=True)
-    p = csub.add_parser("hypercube", parents=[common])
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-m", type=int, required=True)
-    p = csub.add_parser("fk", parents=[common])
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p = csub.add_parser("witness", parents=[common])
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-s", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p = csub.add_parser("cone", parents=[common])
-    p.add_argument("--family", required=True)
-    p = csub.add_parser("product", parents=[common])
-    p.add_argument("--family", required=True)
-    p.add_argument("-l", type=int, required=True)
+    for what, (_, *options) in _CONSTRUCT.items():
+        p = csub.add_parser(what, parents=[common])
+        for option in options:
+            p.add_argument(option, type=str if option == "--family" else int, required=True)
 
     check = sub.add_parser("check", help="decide a property, print PASS/FAIL plus witnesses")
     check.set_defaults(run=_run_check)
@@ -161,30 +158,12 @@ def _json_line(payload: object) -> str:
 
 
 def _run_construct(args: argparse.Namespace) -> tuple[int, str]:
-    from .constructions import (
-        cone,
-        covering_witness_family,
-        full_family,
-        hypercube_family,
-        initial_segment_family,
-        product,
-        recursive_family,
-    )
+    from . import constructions
 
-    if args.what == "full":
-        fam = full_family(args.n, args.s)
-    elif args.what == "segments":
-        fam = initial_segment_family(args.n)
-    elif args.what == "hypercube":
-        fam = hypercube_family(args.k, args.m)
-    elif args.what == "fk":
-        fam = recursive_family(args.m, args.k)
-    elif args.what == "witness":
-        fam = covering_witness_family(args.k, args.s, args.n)
-    elif args.what == "cone":
-        fam = cone(_load_family(args.family))
-    else:
-        fam = product(_load_family(args.family), args.l)
+    builder, *options = _CONSTRUCT[args.what]
+    values = [_load_family(args.family) if option == "--family"
+              else getattr(args, option.lstrip("-")) for option in options]
+    fam = getattr(constructions, builder)(*values)
     if args.format == "json":
         return EXIT_OK, write_family_json(fam) + "\n"
     return EXIT_OK, write_family(fam)

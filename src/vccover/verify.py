@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bitsets import elements_of, full_mask, mask_of
+from .bitsets import elements_of, mask_of
 from .covering import is_k_covering, unique_face
-from .constructions import covering_witness_family, full_family, recursive_family
-from .families import DEFAULT_CAP, Parameters, SetFamily, family_from_masks, write_family
+from .constructions import covering_witness_family, recursive_family
+from .families import DEFAULT_CAP, Parameters, SetFamily, write_family
 from .vc import sauer_shelah_sum, shatters, vc_dimension
 
 LOWER_KIND = "lower-vc-ge-k"
@@ -268,9 +268,8 @@ def _explore_one(params: Parameters, cap: int) -> ExplorationRow:
         method = "oracle"
     elif s == k or s == n:
         # The covering family is forced (the full family for s = k, the
-        # whole ground set for s = n), so its VC-dimension is exact.
-        forced = full_family(n, s) if s == k else family_from_masks(n, (full_mask(n),))
-        exact = vc_dimension(forced).dimension
+        # whole ground set for s = n) and is the witness, so its VC-dimension is exact.
+        exact = witness_vc
         method = "unique-family"
     return ExplorationRow(k=k, s=s, n=n, lower=lower, upper=upper, exact=exact, method=method)
 
@@ -288,6 +287,7 @@ def explore(
     by n. ``workers`` is ignored; it stays only because the benchmark's
     traced run (``bench/tracing.py``) passes it.
     """
+    Parameters(k, s, s)  # checks (k, s) even when no n in the range reaches s
     triples = [Parameters(k, s, n) for n in sorted(v for v in n_range if v >= s)]
     return [_explore_one(params, cap) for params in triples]
 

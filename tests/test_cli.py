@@ -4,7 +4,19 @@ import sys
 
 import pytest
 
-from vccover import read_family, write_family, full_family, make_family
+from vccover import (
+    cone,
+    covering_witness_family,
+    full_family,
+    hypercube_family,
+    initial_segment_family,
+    make_family,
+    product,
+    read_family,
+    recursive_family,
+    write_family,
+)
+from vccover.cli import main
 
 CLI = [sys.executable, "-m", "vccover"]
 
@@ -22,18 +34,27 @@ class TestConstruct:
         assert read_family(proc.stdout) == full_family(5, 2)
 
     def test_every_construct_output_round_trips(self):
-        invocations = [
-            ["construct", "full", "-n", "6", "-s", "3"],
-            ["construct", "segments", "-n", "5"],
-            ["construct", "hypercube", "-k", "2", "-m", "2"],
-            ["construct", "fk", "-m", "4", "-k", "2"],
-            ["construct", "witness", "-k", "2", "-s", "4", "-n", "7"],
+        # Asymmetric values, so that an option passed to the wrong argument shows.
+        base = make_family(4, [{1, 2}, {2, 3, 4}])
+        cases = [
+            (["full", "-n", "6", "-s", "3"], full_family(6, 3)),
+            (["segments", "-n", "5"], initial_segment_family(5)),
+            (["hypercube", "-k", "2", "-m", "3"], hypercube_family(2, 3)),
+            (["fk", "-m", "5", "-k", "2"], recursive_family(5, 2)),
+            (["witness", "-k", "2", "-s", "4", "-n", "7"], covering_witness_family(2, 4, 7)),
+            (["cone", "--family", "-"], cone(base)),
+            (["product", "--family", "-", "-l", "3"], product(base, 3)),
         ]
-        for argv in invocations:
-            proc = run_cli(*argv)
+        for argv, expected in cases:
+            proc = run_cli("construct", *argv, stdin_text=write_family(base))
             assert proc.returncode == 0, argv
-            fam = read_family(proc.stdout)
-            assert write_family(fam) == proc.stdout, argv
+            assert proc.stdout == write_family(expected), argv
+            assert write_family(read_family(proc.stdout)) == proc.stdout, argv
+            # Every option is required: dropping any one is a usage error.
+            for i in range(1, len(argv), 2):
+                with pytest.raises(SystemExit) as exc:
+                    main(["construct", *argv[:i], *argv[i + 2:]])
+                assert exc.value.code == 2, argv[i]
 
     def test_cone_and_product_from_stdin(self):
         base = write_family(make_family(4, [{1, 2}, {3, 4}]))
@@ -189,12 +210,24 @@ class TestExploreCli:
             assert list(row) == ["k", "s", "n", "lower", "upper", "exact", "method"]
 
 
+    @pytest.mark.parametrize("k", ["0", "6"])
+    def test_bad_pair_refused_when_no_n_reaches_s(self, k):
+        proc = run_cli("explore", "-k", k, "-s", "5", "-n", "1:4")
+        assert proc.returncode == 2 and proc.stdout == ""
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
 
     def test_bad_parameters(self):
         assert run_cli("oracle", "-k", "3", "-s", "2", "-n", "5").returncode == 2
+
+    def test_oversized_fk_refused_before_building(self):
+        # The family would grow toward ground 299 until memory ran out.
+        proc = run_cli("construct", "fk", "-m", "200", "-k", "100")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "ground size 299 exceeds maximum 256" in proc.stderr
 
     @pytest.mark.parametrize("option", ["--workers", "--cap"])
     @pytest.mark.parametrize("value", ["0", "-1", "two"])

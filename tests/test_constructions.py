@@ -63,15 +63,35 @@ class TestInitialSegments:
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: full_family(300, 150), lambda: initial_segment_family(10**6)],
-    ids=["full", "segments"],
+    [
+        lambda: full_family(300, 150),
+        lambda: initial_segment_family(10**6),
+        lambda: base_pairs_family(60000),
+    ],
+    ids=["full", "segments", "pairs"],
 )
 def test_oversized_ground_refused_before_any_member(build):
-    # Either walk over [n] would exhaust memory long before it ended.
+    # A walk over [n], or n masks of up to n bits, costs far more than the check.
     start = time.perf_counter()
     with pytest.raises(ValueError, match="exceeds maximum 256"):
         build()
-    assert time.perf_counter() - start < 1.0
+    assert time.perf_counter() - start < 0.1
+
+
+def test_derived_builders_check_the_ground_before_building(monkeypatch):
+    # Growing fk(200, 100) step by step toward ground 299 exhausts memory.
+    from vccover import constructions
+
+    base = full_family(200, 1)
+    for name in ("recursive_step", "family_from_masks"):
+        monkeypatch.setattr(constructions, name, lambda *_, name=name: pytest.fail(name))
+    for build, n in [
+        (lambda: recursive_family(200, 100), 299),
+        (lambda: base_pairs_family(300), 300),
+        (lambda: product(base, 2), 400),
+    ]:
+        with pytest.raises(ValueError, match=f"ground size {n} exceeds maximum 256"):
+            build()
 
 
 class TestCone:

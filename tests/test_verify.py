@@ -9,7 +9,9 @@ from vccover import (
     covering_witness_family,
     explore,
     family_certifies_upper,
+    full_family,
     lower_bound_certificate,
+    make_family,
     min_cover_size_lower_bound,
     monotonicity_scan,
     oracle_D,
@@ -20,6 +22,7 @@ from vccover import (
     stabilized_ground_size,
     surjectivity_scan,
     upper_bound_certificate,
+    vc_dimension,
     verify_main_theorem,
     verify_prop_const,
 )
@@ -208,6 +211,17 @@ class TestExplore:
             assert row.method == "unique-family"
             assert row.exact == 2
 
+    def test_forced_rows_take_the_forced_familys_dimension(self):
+        # s = k forces the full family and s = n the one member [n]; the row
+        # reports the witness's VC-dimension, which must be the forced family's.
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                for s in {k, n}:
+                    forced = full_family(n, s) if s == k else make_family(n, [range(1, n + 1)])
+                    (row,) = explore(k, s, range(n, n + 1), cap=0)
+                    assert row.method == "unique-family"
+                    assert row.exact == vc_dimension(forced).dimension, (k, s, n)
+
     def test_certified_row_at_stabilized_size(self):
         (row,) = explore(2, 3, range(14, 15))
         assert row.lower == 2 and row.upper == 2 and row.stab_upper_hint
@@ -236,6 +250,14 @@ class TestExplore:
         with pytest.raises(ValueError, match="ground size 257 exceeds maximum 256"):
             explore(2, 3, range(3, 258))
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_bad_pair_refused_when_no_n_reaches_s(self, k):
+        with pytest.raises(ValueError, match="need 1 <= k <= s"):
+            explore(k, 5, range(1, 5))
+
+    def test_range_below_s_is_empty(self):
+        assert explore(2, 5, range(1, 5)) == []
 
     def test_scans(self):
         rows = explore(2, 2, range(2, 7))
