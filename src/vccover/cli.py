@@ -170,19 +170,22 @@ def _run_construct(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _run_check(args: argparse.Namespace) -> tuple[int, str]:
-    from .covering import is_k_covering, unique_face
+    from .covering import first_faceless, is_k_covering, unique_face
 
     fam = _load_family(args.family)
     if args.what == "covering":
         report = is_k_covering(fam, args.k)
         failure, witness = "uncovered", report.uncovered
-    else:
+    elif args.format == "json":
         report = unique_face(fam)
         failure, witness = "violator", report.violator
-    code = EXIT_OK if report.holds else EXIT_FAIL
+    else:
+        # The text verdict names only the violator, so the search stops there.
+        failure, witness = "violator", first_faceless(fam)
+    code = EXIT_OK if witness is None else EXIT_FAIL
     if args.format == "json":
         return code, _json_line(report.as_dict())
-    if report.holds:
+    if witness is None:
         return code, "PASS\n"
     return code, f"FAIL {failure}: {' '.join(str(e) for e in elements_of(witness))}\n"
 

@@ -5,12 +5,13 @@ k-set, or per-member faces (a proper subset contained in no other member,
 minimal by size then mask order). Witness canonicality makes runs
 byte-reproducible. Both read the family's incidence table
 (``incidence_columns``): the members containing a set are the AND of its
-elements' columns.
+elements' columns. A caller that needs only the face verdict uses
+``first_faceless``, which stops at the first member without a face.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .bitsets import elements_of, spread
 from .families import SetFamily, incidence_columns
@@ -92,29 +93,50 @@ def is_k_covering(f: SetFamily, k: int) -> CoverReport:
     return CoverReport(k=k, holds=True)
 
 
-def unique_face(f: SetFamily) -> FaceReport:
-    """Find, per member, a proper subset unique to it; fails on the first member without one.
+def _member_faces(f: SetFamily) -> Iterator[tuple[int, int | None]]:
+    """Yield each member with its smallest face, or None if it has none, in member order.
 
-    A face of member j is a subset whose column AND is exactly {j}; the
-    smallest is searched by size, then in mask order.
+    A face of member j is a proper subset whose column AND is exactly {j}:
+    a subset of no other member. The smallest is searched by size, then in
+    mask order. Raises ValueError for the empty family on the first ``next``.
     """
     if not f.members:
         raise ValueError("unique-face check is undefined for the empty family")
     columns = incidence_columns(f)
     everyone = (1 << len(f.members)) - 1
-    faces: dict[int, int] = {}
-    violator = None
     for j, member in enumerate(f.members):
         elements = elements_of(member)
         own = [columns[e - 1] for e in elements]
         for r in range(len(elements)):
             face = _first_meeting(own, r, everyone, 1 << j)
             if face is not None:
-                faces[member] = spread(face, elements)
+                yield member, spread(face, elements)
                 break
         else:
-            if violator is None:
-                violator = member
+            yield member, None
+
+
+def first_faceless(f: SetFamily) -> int | None:
+    """The first member without a face, or None when the unique face property holds.
+
+    Stops at that member; the faces of the members after it are never searched.
+    """
+    return next((member for member, face in _member_faces(f) if face is None), None)
+
+
+def unique_face(f: SetFamily) -> FaceReport:
+    """Find every member's smallest face; the violator is the first member without one.
+
+    Scans every member, so ``faces`` is complete; callers that need only the
+    verdict use ``first_faceless``, which stops at the violator.
+    """
+    faces: dict[int, int] = {}
+    violator = None
+    for member, face in _member_faces(f):
+        if face is not None:
+            faces[member] = face
+        elif violator is None:
+            violator = member
     return FaceReport(holds=violator is None, faces=faces, violator=violator)
 
 
@@ -122,7 +144,7 @@ def ufp_implies_vc_bound_check(f: SetFamily) -> bool:
     """Property probe: a uniform family with the unique face property has VC-dimension below its member size."""
     if not f.is_uniform():
         raise ValueError("check requires a uniform family")
-    if not unique_face(f).holds:
+    if first_faceless(f) is not None:
         return True
     from .vc import vc_dimension
 

@@ -170,7 +170,15 @@ def write_family(f: SetFamily) -> str:
     """Serialize to the canonical text format (LF line endings)."""
     s_field = "mixed" if f.uniform_size is None else str(f.uniform_size)
     lines = [FORMAT_HEADER, f"n={f.n} s={s_field}"]
-    lines.extend(" ".join(map(str, elements_of(m))) or "-" for m in f.members)
+    # One str() per element of [n], not one per element of every member.
+    names = {1 << i: str(i + 1) for i in range(f.n)}
+    for m in f.members:
+        parts = []
+        while m:
+            low = m & -m
+            parts.append(names[low])
+            m ^= low
+        lines.append(" ".join(parts) or "-")
     return "\n".join(lines) + "\n"
 
 
@@ -202,25 +210,26 @@ def _parse_header(lines: list[str]) -> tuple[int, int | None]:
     return n, _header_int(s_text, "s", lines[1])
 
 
-def _append_member(masks: list[int], elements: Iterable[int], n: int, shown: str) -> None:
+def _append_member(masks: list[int], elements: Iterable[int], n: int, raw: str | list) -> None:
     """Append one member's mask to ``masks``, enforcing the canonical form.
 
     The elements must be ascending ints in [1, n], and the member must come
-    strictly after ``masks[-1]`` in mask order. ``shown`` quotes the member
-    in error messages.
+    strictly after ``masks[-1]`` in mask order. ``raw`` is the member as read
+    (the text line or the JSON list); its repr quotes the member in error
+    messages, and is built only when one is raised.
     """
     mask = prev = 0
     for e in elements:
         if not (1 <= e <= n):
             raise FamilyFormatError(f"element {e} out of range [1, {n}]")
         if e <= prev:
-            raise FamilyFormatError(f"unsorted member: {shown}")
+            raise FamilyFormatError(f"unsorted member: {raw!r}")
         prev = e
         mask |= 1 << (e - 1)
     if masks and mask <= masks[-1]:
         if mask == masks[-1]:
-            raise FamilyFormatError(f"duplicate member: {shown}")
-        raise FamilyFormatError(f"members out of canonical order at {shown}")
+            raise FamilyFormatError(f"duplicate member: {raw!r}")
+        raise FamilyFormatError(f"members out of canonical order at {raw!r}")
     masks.append(mask)
 
 
@@ -255,7 +264,7 @@ def read_family(text: str) -> SetFamily:
     n, declared_s = _parse_header(lines)
     masks: list[int] = []
     for line in lines[2:]:
-        _append_member(masks, _line_elements(line), n, repr(line))
+        _append_member(masks, _line_elements(line), n, line)
     f = SetFamily(n, tuple(masks))
     if f.uniform_size != declared_s:
         actual = "no uniform size" if f.uniform_size is None else f"uniform size {f.uniform_size}"
@@ -290,5 +299,5 @@ def read_family_json(text: str) -> SetFamily:
     for member in obj["members"]:
         if type(member) is not list or not all(type(e) is int for e in member):
             raise FamilyFormatError(f"bad member {member!r}")
-        _append_member(masks, member, n, repr(member))
+        _append_member(masks, member, n, member)
     return SetFamily(n, tuple(masks))

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bitsets import elements_of, mask_of
-from .covering import is_k_covering, unique_face
+from .bitsets import MAX_GROUND, elements_of, mask_of
+from .covering import first_faceless, is_k_covering
 from .constructions import covering_witness_family, recursive_family
 from .families import DEFAULT_CAP, Parameters, SetFamily, write_family
 from .vc import sauer_shelah_sum, shatters, vc_dimension
@@ -167,7 +167,7 @@ def verify_prop_const(m: int, k: int) -> PropConstReport:
         raise ValueError(f"ground size {n} beyond the exhaustive-check range (16)")
     fam = recursive_family(m, k)
     cover = is_k_covering(fam, k)
-    faces = unique_face(fam)
+    violator = first_faceless(fam)
     member_set = set(fam.members)
     interpolation = True
     interpolation_violation = None
@@ -194,12 +194,12 @@ def verify_prop_const(m: int, k: int) -> PropConstReport:
         k=k,
         n=n,
         covering=cover.holds,
-        unique_faces=faces.holds,
+        unique_faces=violator is None,
         interpolation=interpolation,
         tail_shattered=tail_shattered,
         tail_checked=tail_checked,
         uncovered=cover.uncovered,
-        violator=faces.violator,
+        violator=violator,
         interpolation_violation=interpolation_violation,
     )
 
@@ -287,7 +287,9 @@ def explore(
     by n. ``workers`` is ignored; it stays only because the benchmark's
     traced run (``bench/tracing.py``) passes it.
     """
-    Parameters(k, s, s)  # checks (k, s) even when no n in the range reaches s
+    # Checked apart from n, so a bad pair is refused even when no n in the range reaches s.
+    if not (1 <= k <= s <= MAX_GROUND):
+        raise ValueError(f"need 1 <= k <= s <= {MAX_GROUND}, got k={k} s={s}")
     triples = [Parameters(k, s, n) for n in sorted(v for v in n_range if v >= s)]
     return [_explore_one(params, cap) for params in triples]
 

@@ -212,8 +212,15 @@ class TestExploreCli:
 
     @pytest.mark.parametrize("k", ["0", "6"])
     def test_bad_pair_refused_when_no_n_reaches_s(self, k):
+        # The message names k and s only: no n in 1:4 reaches s, so none is quoted.
         proc = run_cli("explore", "-k", k, "-s", "5", "-n", "1:4")
         assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: need 1 <= k <= s <= 256, got k={k} s=5\n"
+
+    def test_oversized_s_refused_as_a_pair(self):
+        proc = run_cli("explore", "-k", "2", "-s", "300", "-n", "1:4")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: need 1 <= k <= s <= 256, got k=2 s=300\n"
 
 
 class TestUsageErrors:

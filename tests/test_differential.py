@@ -9,12 +9,19 @@ demand exact equality of the reports, witnesses included, so a kernel that
 finds a valid but non-canonical witness fails here. The oracle reference
 is the plain DFS, without the packed search's refuted-sibling exclusion
 and root symmetry; the packed search must return the same witness or None
-on every case and may visit no more nodes than the reference.
+on every case and may visit no more nodes than the reference. The
+`check ufp` command is held to the face reference too: its text verdict,
+which stops at the first member without a face, must name the reference's
+violator, and its JSON must be the full `unique_face` report.
 """
 
+import contextlib
+import io
+import json
 import math
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vccover import (
     CoverReport,
@@ -26,8 +33,11 @@ from vccover import (
     is_k_covering,
     unique_face,
     vc_dimension,
+    write_family,
 )
 from vccover.bitsets import elements_of, full_mask, iter_fixed_size_masks, iter_submasks, spread
+from vccover.cli import main
+from vccover.covering import first_faceless
 from vccover.families import incidence_columns
 
 
@@ -94,7 +104,9 @@ def assert_kernels_match(f, label) -> None:
         assert is_k_covering(f, k) == reference_cover(f, k), (label, k)
     if f.members:
         assert vc_dimension(f) == reference_vc(f), label
-        assert unique_face(f) == reference_faces(f), label
+        faces = reference_faces(f)
+        assert unique_face(f) == faces, label
+        assert first_faceless(f) == faces.violator, label
 
 
 @st.composite
@@ -112,6 +124,51 @@ def families(draw):
 @given(families())
 def test_kernels_match_references_on_random_families(f):
     assert_kernels_match(f, (f.n, f.members))
+
+
+# Families whose first faceless member is not the last one, so a verdict
+# that stops at the violator does less work than the full scan: {1} then two
+# members with faces; {3} between two members with faces; all six 2-sets of [4].
+EARLY_VIOLATORS = [
+    family_from_masks(4, [0b1, 0b11, 0b1100]),
+    family_from_masks(4, [0b11, 0b100, 0b1001]),
+    family_from_masks(4, iter_fixed_size_masks(4, 2)),
+]
+
+
+def test_early_violators_stop_before_the_last_member():
+    for f in EARLY_VIOLATORS:
+        violator = reference_faces(f).violator
+        assert violator is not None and violator != f.members[-1], f
+
+
+def run_check_ufp(f, *options) -> tuple[int, str]:
+    """`vccover check ufp --family -` in process, with `f` written to stdin."""
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(write_family(f))), contextlib.redirect_stdout(out):
+        code = main(["check", "ufp", "--family", "-", *options])
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(families())
+@example(EARLY_VIOLATORS[0])
+@example(EARLY_VIOLATORS[1])
+@example(EARLY_VIOLATORS[2])
+def test_check_ufp_matches_reference_faces(f):
+    if not f.members:
+        assert run_check_ufp(f) == (2, "")
+        assert run_check_ufp(f, "--format", "json") == (2, "")
+        return
+    faces = reference_faces(f)
+    code, text = run_check_ufp(f)
+    if faces.holds:
+        assert (code, text) == (0, "PASS\n")
+    else:
+        assert (code, text) == (1, f"FAIL violator: {' '.join(map(str, elements_of(faces.violator)))}\n")
+    code, text = run_check_ufp(f, "--format", "json")
+    assert code == (0 if faces.holds else 1)
+    assert text == json.dumps(unique_face(f).as_dict()) + "\n"
 
 
 def test_kernels_match_references_on_corpus(corpus):

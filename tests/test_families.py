@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from vccover import (
     FamilyFormatError,
@@ -110,6 +110,23 @@ class TestSetFamilyInvariant:
 
 
 class TestFileFormat:
+    @given(
+        st.integers(min_value=1, max_value=256).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(min_value=0, max_value=2**n - 1), max_size=12),
+            )
+        )
+    )
+    @example((1, [0, 1]))
+    @example((256, [0, 1 << 255, 2**256 - 1]))
+    def test_write_spells_each_member_as_its_elements(self, case):
+        # The reference spelling: elements ascending, joined by one space, "-" when empty.
+        n, masks = case
+        f = SetFamily(n, tuple(sorted(set(masks))))
+        lines = write_family(f).split("\n")
+        assert lines[2:] == [" ".join(map(str, elements_of(m))) or "-" for m in f.members] + [""]
+
     def test_read_example(self):
         f = read_family("vcfam 1\nn=4 s=2\n1 2\n3 4\n")
         assert f == make_family(4, [{1, 2}, {3, 4}])
@@ -207,6 +224,27 @@ class TestFileFormat:
                 read_family(f"vcfam 1\nn=4 s=mixed\n{line}\n")
             with pytest.raises(FamilyFormatError, match=message):
                 read_family_json(json.dumps({"n": 4, "members": [member]}))
+
+    @pytest.mark.parametrize(
+        "members, text_message, json_message",
+        [
+            ([[2, 1]], "unsorted member: '2 1'", "unsorted member: [2, 1]"),
+            ([[1, 2], [1, 2]], "duplicate member: '1 2'", "duplicate member: [1, 2]"),
+            ([[], []], "duplicate member: '-'", "duplicate member: []"),
+            ([[3, 4], [1, 2]], "members out of canonical order at '1 2'",
+             "members out of canonical order at [1, 2]"),
+            ([[1, 5]], "element 5 out of range [1, 4]", "element 5 out of range [1, 4]"),
+            ([[0]], "element 0 out of range [1, 4]", "element 0 out of range [1, 4]"),
+        ],
+    )
+    def test_member_error_messages(self, members, text_message, json_message):
+        lines = "".join((" ".join(map(str, m)) or "-") + "\n" for m in members)
+        with pytest.raises(FamilyFormatError) as text_error:
+            read_family("vcfam 1\nn=4 s=mixed\n" + lines)
+        assert str(text_error.value) == text_message
+        with pytest.raises(FamilyFormatError) as json_error:
+            read_family_json(json.dumps({"n": 4, "members": members}))
+        assert str(json_error.value) == json_message
 
 
 class TestEnumerateSubsets:

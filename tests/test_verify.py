@@ -256,6 +256,21 @@ class TestExplore:
         with pytest.raises(ValueError, match="need 1 <= k <= s"):
             explore(k, 5, range(1, 5))
 
+    def test_pair_refused_exactly_where_parameters_refuse_it(self):
+        # The pair check names no n, but refuses what Parameters(k, s, s) refuses.
+        for k in range(-1, 8):
+            for s in (*range(-1, 8), 255, 256, 257, 300):
+                try:
+                    Parameters(k, s, s)
+                    refused = False
+                except ValueError:
+                    refused = True
+                if refused:
+                    with pytest.raises(ValueError, match=f"^need 1 <= k <= s <= 256, got k={k} s={s}$"):
+                        explore(k, s, range(1, 5))
+                else:
+                    explore(k, s, range(1, 2))
+
     def test_range_below_s_is_empty(self):
         assert explore(2, 5, range(1, 5)) == []
 
