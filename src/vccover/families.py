@@ -119,17 +119,22 @@ def incidence_columns(f: SetFamily) -> list[int]:
 
     ``columns[i]`` is the bitset of member indices whose member contains
     element i+1 (bit j stands for ``f.members[j]``). The AND of the columns
-    of a set A is then the set of members containing A. Built in
-    O(sum of member sizes) by walking each member's bits into per-element
-    byte buffers, so no element-by-member loop runs.
+    of a set A is then the set of members containing A. Built by string
+    transpose, 256 members at a time: the chunk's members, highest index
+    first, are spelled as one string of ``bin(m | 1 << n)`` rows, so element
+    i+1 is the character at offset n+2-i of each row. One strided slice reads
+    that character for the whole chunk, ``int(..., 2)`` makes it the chunk's
+    256 column bits, and they append to the column's byte buffer as 32
+    little-endian bytes. Each buffer becomes one int at the end, so the work
+    is linear in the member count and no per-chunk int outlives its chunk.
     """
-    buffers = [bytearray((len(f.members) + 7) >> 3) for _ in range(f.n)]
-    for j, member in enumerate(f.members):
-        byte, bit = j >> 3, 1 << (j & 7)
-        while member:
-            low = member & -member
-            buffers[low.bit_length() - 1][byte] |= bit
-            member ^= low
+    n, members = f.n, f.members
+    flag, width = 1 << n, n + 3
+    buffers = [bytearray() for _ in range(n)]
+    for start in range(0, len(members), 256):
+        rows = "".join([bin(m | flag) for m in reversed(members[start : start + 256])])
+        for i, buf in enumerate(buffers):
+            buf += int(rows[n + 2 - i :: width], 2).to_bytes(32, "little")
     return [int.from_bytes(buf, "little") for buf in buffers]
 
 
@@ -166,10 +171,8 @@ def enumerate_subsets(n: int, r: int) -> Iterator[int]:
     return iter_fixed_size_masks(n, r)
 
 
-def write_family(f: SetFamily) -> str:
-    """Serialize to the canonical text format (LF line endings)."""
-    s_field = "mixed" if f.uniform_size is None else str(f.uniform_size)
-    lines = [FORMAT_HEADER, f"n={f.n} s={s_field}"]
+def _member_parts(f: SetFamily) -> Iterator[list[str]]:
+    """Each member's elements as decimal strings, ascending, in member order."""
     # One str() per element of [n], not one per element of every member.
     names = {1 << i: str(i + 1) for i in range(f.n)}
     for m in f.members:
@@ -178,7 +181,14 @@ def write_family(f: SetFamily) -> str:
             low = m & -m
             parts.append(names[low])
             m ^= low
-        lines.append(" ".join(parts) or "-")
+        yield parts
+
+
+def write_family(f: SetFamily) -> str:
+    """Serialize to the canonical text format (LF line endings)."""
+    s_field = "mixed" if f.uniform_size is None else str(f.uniform_size)
+    lines = [FORMAT_HEADER, f"n={f.n} s={s_field}"]
+    lines.extend(" ".join(parts) or "-" for parts in _member_parts(f))
     return "\n".join(lines) + "\n"
 
 
@@ -273,10 +283,9 @@ def read_family(text: str) -> SetFamily:
 
 
 def write_family_json(f: SetFamily) -> str:
-    """Serialize to the JSON mirror format."""
-    import json
-
-    return json.dumps({"n": f.n, "members": [list(elements_of(m)) for m in f.members]})
+    """Serialize to the JSON mirror format, byte for byte what ``json.dumps`` writes."""
+    members = ", ".join(["[" + ", ".join(parts) + "]" for parts in _member_parts(f)])
+    return f'{{"n": {f.n}, "members": [{members}]}}'
 
 
 def read_family_json(text: str) -> SetFamily:

@@ -8,14 +8,19 @@ elements (present in some member, absent from some member): an element in
 every member blocks the empty trace, an element in no member blocks the
 full trace, so no other probe can be shattered.
 
-The search reads the family's incidence table (``incidence_columns``: per
-element, the bitset of members containing it). It grows probes depth-first
-in colex order and keeps, per probe, its trace cells, the member bitsets
-realizing each of its 2^|A| traces. Adding an element splits every cell
-with one AND; a probe with an empty cell is pruned with all its
-extensions, because every subset of a shattered set is shattered (Sauer
-1972, Shelah 1972, Pajor 1985). ``shatters`` runs the same search over the
-columns of one probe.
+The search works in element space: a probe is a mask over [n] and the
+elements it may still take are a candidate mask. It reads the family's
+incidence table (``incidence_columns``: per element, the bitset of members
+containing it), grows probes depth-first in colex order and keeps, per
+probe, its trace cells, the member bitsets realizing each of its 2^|A|
+traces. Adding an element splits every cell with one AND; a probe with an
+empty cell is pruned with all its extensions, because every subset of a
+shattered set is shattered (Sauer 1972, Shelah 1972, Pajor 1985). A
+shattered extension of A realizes its full trace, so one member of A's
+all-in cell (the members containing A) holds all of it; candidates outside
+the union of that cell are dropped, which keeps the colex order of the
+rest. ``shatters`` runs the same search with the probe's own elements as
+the candidates.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bitsets import elements_of, is_within, spread
+from .bitsets import elements_of, is_within
 from .families import SetFamily, incidence_columns
 
 
@@ -68,26 +73,48 @@ def shatters(f: SetFamily, probe: int) -> bool:
         raise ValueError(f"probe {elements_of(probe)} not within [{f.n}]")
     if not probe:
         return True
-    columns = incidence_columns(f)
-    probe_columns = [columns[e - 1] for e in elements_of(probe)]
-    everyone = (1 << len(f.members)) - 1
-    return _first_shattered(probe_columns, len(probe_columns), everyone) is not None
+    return _first_shattered(f.members, incidence_columns(f), probe, probe.bit_count()) is not None
 
 
-def _first_shattered(columns: list[int], size: int, everyone: int) -> int | None:
-    """Colex-smallest shattered `size`-subset of the columns' indices, or None.
+def _first_shattered(
+    members: tuple[int, ...], columns: list[int], candidates: int, size: int
+) -> int | None:
+    """Colex-smallest shattered `size`-subset of the candidate mask, or None.
 
-    Depth-first from the top element down, each level trying its element
+    Depth-first from the top element down, each level trying its candidates
     in ascending order, so probes are met in colex order and the first hit
     is the minimum. Adding element i splits every trace cell (the members
     realizing one trace of the probe so far) into those that contain i and
     those that do not; an empty half means a missing trace, and since
     shattered sets are down-closed no extension of that probe can shatter.
+
+    ``cells[0]`` is the all-in cell: the members containing every element
+    chosen so far. A shattered extension realizes its full trace, so all of
+    its elements lie in one of those members, and each node narrows its
+    candidates to their union. Narrowing only removes elements no shattered
+    extension can hold and leaves the order of the rest alone, so the first
+    hit is still the colex-smallest. The union costs one OR per member of
+    the cell, so it is taken only when the cell has fewer members than
+    there are candidates left to narrow.
     """
 
-    def dfs(cells: list[int], below: int, need: int) -> int | None:
-        for i in range(need - 1, below):
-            column = columns[i]
+    def dfs(cells: list[int], live: int, need: int) -> int | None:
+        holders = cells[0]
+        if holders.bit_count() < live.bit_count():
+            union = 0
+            while holders:
+                j = holders.bit_length() - 1
+                union |= members[j]
+                holders ^= 1 << j
+            live &= union
+        # The lowest need-1 candidates cannot top a probe of `need` elements.
+        rest = live
+        for _ in range(need - 1):
+            rest &= rest - 1
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            column = columns[low.bit_length() - 1]
             split = []
             for cell in cells:
                 inside = cell & column
@@ -97,13 +124,13 @@ def _first_shattered(columns: list[int], size: int, everyone: int) -> int | None
                 split.append(cell ^ inside)
             else:
                 if need == 1:
-                    return 1 << i
-                rest = dfs(split, i, need - 1)
-                if rest is not None:
-                    return rest | (1 << i)
+                    return low
+                below = dfs(split, live & (low - 1), need - 1)
+                if below is not None:
+                    return below | low
         return None
 
-    return dfs([everyone], len(columns), size)
+    return dfs([(1 << len(members)) - 1], candidates, size)
 
 
 def vc_dimension(f: SetFamily) -> VcReport:
@@ -119,12 +146,14 @@ def vc_dimension(f: SetFamily) -> VcReport:
     members = f.members
     everyone = (1 << len(members)) - 1
     columns = incidence_columns(f)
-    positions = tuple(i + 1 for i, c in enumerate(columns) if 0 < c < everyone)
-    active = [columns[p - 1] for p in positions]
+    active = 0
+    for i, column in enumerate(columns):
+        if 0 < column < everyone:
+            active |= 1 << i
     sizes = [m.bit_count() for m in members]
     min_size = min(sizes)
     floor_log2 = len(members).bit_length() - 1
-    cap = min(f.n, max(sizes), floor_log2, len(positions))
+    cap = min(f.n, max(sizes), floor_log2, active.bit_count())
     dimension = 0
     witness = 0
     for size in range(1, cap + 1):
@@ -132,10 +161,10 @@ def vc_dimension(f: SetFamily) -> VcReport:
             # No member can be disjoint from a probe this large, so the
             # empty trace is unrealizable and nothing of this size shatters.
             break
-        hit = _first_shattered(active, size, everyone)
+        hit = _first_shattered(members, columns, active, size)
         if hit is None:
             break
-        dimension, witness = size, spread(hit, positions)
+        dimension, witness = size, hit
     return VcReport(dimension=dimension, witness=witness, refuted_size=dimension + 1)
 
 

@@ -12,7 +12,9 @@ and root symmetry; the packed search must return the same witness or None
 on every case and may visit no more nodes than the reference. The
 `check ufp` command is held to the face reference too: its text verdict,
 which stops at the first member without a face, must name the reference's
-violator, and its JSON must be the full `unique_face` report.
+violator, and its JSON must be the full `unique_face` report. The
+incidence table is held to the element-by-member scan and the JSON writer
+to `json.dumps`.
 """
 
 import contextlib
@@ -38,7 +40,9 @@ from vccover import (
 from vccover.bitsets import elements_of, full_mask, iter_fixed_size_masks, iter_submasks, spread
 from vccover.cli import main
 from vccover.covering import first_faceless
-from vccover.families import incidence_columns
+from vccover.constructions import covering_witness_family, full_family
+from vccover.families import SetFamily, incidence_columns, write_family_json
+from vccover.vc import shatters
 
 
 def reference_vc(f) -> VcReport:
@@ -176,13 +180,72 @@ def test_kernels_match_references_on_corpus(corpus):
         assert_kernels_match(f, name)
 
 
+def reference_columns(f) -> list[int]:
+    """Column i: the members containing element i+1, one element-member test at a time."""
+    return [sum(1 << j for j, m in enumerate(f.members) if m >> i & 1) for i in range(f.n)]
+
+
 def test_incidence_columns_list_the_members_of_each_element(corpus):
     for name, f in corpus:
-        columns = incidence_columns(f)
-        assert len(columns) == f.n, name
-        for i, column in enumerate(columns):
-            expected = sum(1 << j for j, m in enumerate(f.members) if m >> i & 1)
-            assert column == expected, (name, i + 1)
+        assert incidence_columns(f) == reference_columns(f), name
+
+
+def test_incidence_columns_across_chunk_boundaries():
+    # The table is transposed 256 members at a time: member counts on both
+    # sides of one and two chunk edges, and the largest ground, whose
+    # element 256 is bit 255 of every member holding it.
+    for count in (0, 1, 255, 256, 257, 513):
+        masks = [(j * 0x9E3779B97F4A7C15 << 192 | j * 0xD1B54A32D192ED03) % (1 << 256)
+                 for j in range(count)]
+        for f in (family_from_masks(256, masks), family_from_masks(9, [m % 512 for m in masks])):
+            assert incidence_columns(f) == reference_columns(f), (f.n, count)
+        assert any(m >> 255 for m in masks) == (count > 1)
+    for members in ((), (0,), (1,), (0, 1)):
+        f = SetFamily(1, members)
+        assert incidence_columns(f) == reference_columns(f), members
+
+
+def reference_json(f) -> str:
+    return json.dumps({"n": f.n, "members": [list(elements_of(m)) for m in f.members]})
+
+
+def test_json_writer_matches_json_dumps(corpus):
+    edges = [SetFamily(3, ()), SetFamily(3, (0,)), SetFamily(256, (0, 1 << 255))]
+    for f in [f for _, f in corpus] + edges:
+        assert write_family_json(f) == reference_json(f), f
+
+
+@settings(max_examples=200, deadline=None)
+@given(families())
+def test_json_writer_and_incidence_match_references_on_random_families(f):
+    assert write_family_json(f) == reference_json(f)
+    assert incidence_columns(f) == reference_columns(f)
+
+
+# The shattering search narrows each probe's candidates to the union of the
+# members holding it, when they are fewer than the candidates. Families that
+# take that union at the root (fewer members than active elements), hold an
+# empty member or mixed sizes, never take it (full families), and the
+# explore witnesses, which take it deep in their refutations.
+PRUNING_FAMILIES = [
+    family_from_masks(10, [0b1011001110, 0b0110110101, 0b1101011011]),
+    family_from_masks(8, [0, 0b111, 0b11100, 0b1110000, 0b10101010, 0b01010101]),
+    family_from_masks(7, [0b1, 0b110, 0b1111000, 0b0101011, 0b1010100, 0b1111111]),
+    *(full_family(n, s) for n, s in [(6, 3), (7, 2), (8, 4), (9, 6)]),
+    *(covering_witness_family(2, s, n) for s in (3, 4, 5) for n in (*range(s, 13), 24, 40)),
+]
+
+
+def test_shattering_search_prunes_to_the_reference():
+    for f in PRUNING_FAMILIES:
+        report = vc_dimension(f)
+        assert report == reference_vc(f), f
+        assert shatters(f, report.witness)
+        ground = min(f.n, 9)
+        for size in range(1, 4):
+            for probe in iter_fixed_size_masks(ground, size):
+                expected = len({probe & m for m in f.members}) == 1 << size
+                assert shatters(f, probe) == expected, (f, elements_of(probe))
 
 
 class ReferenceSearch:

@@ -72,6 +72,14 @@ def test_command_never_loads_dataclasses(command, tmp_path):
     assert not NEVER_AT_STARTUP & loaded
 
 
+def test_json_family_writer_does_not_load_json(tmp_path):
+    loaded = loaded_modules(
+        ["construct", "full", "-n", "5", "-s", "2", "--format", "json"], tmp_path
+    )
+    assert "vccover.cli" in loaded
+    assert "json" not in loaded
+
+
 def test_package_import_loads_no_submodule():
     loaded = set(
         subprocess.run(
