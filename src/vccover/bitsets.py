@@ -12,6 +12,12 @@ from typing import Iterable, Iterator, Sequence
 MAX_GROUND = 256
 
 
+def check_ground(n: int) -> None:
+    """Raise ValueError when a ground size exceeds MAX_GROUND."""
+    if n > MAX_GROUND:
+        raise ValueError(f"ground size {n} exceeds maximum {MAX_GROUND}")
+
+
 def mask_of(elements: Iterable[int]) -> int:
     """Build a mask from 1-based elements (no range validation here)."""
     m = 0

@@ -11,13 +11,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .bitsets import MAX_GROUND, elements_of, full_mask
+from .bitsets import check_ground, elements_of, full_mask
 from .families import Parameters, SetFamily, enumerate_subsets, family_from_masks
-
-
-def _check_ground(n: int) -> None:
-    if n > MAX_GROUND:
-        raise ValueError(f"ground size {n} exceeds maximum {MAX_GROUND}")
 
 
 class HypercubeSpec(namedtuple("HypercubeSpec", "k m")):
@@ -34,7 +29,7 @@ class HypercubeSpec(namedtuple("HypercubeSpec", "k m")):
         if k < 1 or m < 1:
             raise ValueError(f"need k >= 1 and m >= 1, got k={k} m={m}")
         self = super().__new__(cls, k, m)
-        _check_ground(self.ground_size)
+        check_ground(self.ground_size)
         return self
 
     @property
@@ -58,7 +53,7 @@ def initial_segment_family(n: int) -> SetFamily:
     """The proper initial segments of [n]: empty set, {1}, {1,2}, ..., {1..n-1}."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    _check_ground(n)
+    check_ground(n)
     return family_from_masks(n, ((1 << i) - 1 for i in range(n)))
 
 
@@ -76,7 +71,7 @@ def product(f: SetFamily, ell: int) -> SetFamily:
     """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
-    _check_ground(f.n * ell)
+    check_ground(f.n * ell)
     block = full_mask(ell)
     masks = []
     for m in f.members:
@@ -109,7 +104,7 @@ def base_pairs_family(m: int) -> SetFamily:
     """Consecutive pairs {2t-1, 2t} plus the closing pair {m-1, m}, on [m]."""
     if m < 2:
         raise ValueError(f"need m >= 2, got m={m}")
-    _check_ground(m)
+    check_ground(m)
     masks = [0b11 << (2 * t - 2) for t in range(1, m // 2 + 1)] + [0b11 << (m - 2)]
     return family_from_masks(m, masks)
 
@@ -134,7 +129,7 @@ def recursive_family(m: int, k: int) -> SetFamily:
     """
     if m < 2 or k < 1:
         raise ValueError(f"need m >= 2 and k >= 1, got m={m} k={k}")
-    _check_ground(m + k - 1)
+    check_ground(m + k - 1)
     fam = base_pairs_family(m)
     for _ in range(k - 1):
         fam = recursive_step(fam)

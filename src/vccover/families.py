@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 
 from .bitsets import (
     MAX_GROUND,
+    check_ground,
     elements_of,
     iter_fixed_size_masks,
     mask_of,
@@ -49,8 +50,7 @@ class Parameters(namedtuple("Parameters", "k s n")):
     def __new__(cls, k: int, s: int, n: int) -> Parameters:
         if not (1 <= k <= s <= n):
             raise ValueError(f"need 1 <= k <= s <= n, got k={k} s={s} n={n}")
-        if n > MAX_GROUND:
-            raise ValueError(f"ground size {n} exceeds maximum {MAX_GROUND}")
+        check_ground(n)
         return super().__new__(cls, k, s, n)
 
 
@@ -58,7 +58,8 @@ class SetFamily:
     """An ordered, deduplicated family of subsets of [n].
 
     Immutable after construction, and canonical by construction: ``members``
-    must be strictly increasing masks inside [n], else ValueError.
+    must be strictly increasing masks inside [n], else ValueError. They are
+    stored as a tuple, so a list passed in is copied, not shared.
     ``uniform_size`` is derived metadata: the common cardinality of the
     members, None when they differ (and for the empty family).
     Not a tuple: its length, iteration and ``in`` run over the members.
@@ -66,11 +67,11 @@ class SetFamily:
 
     __slots__ = ("n", "members", "uniform_size")
 
-    def __init__(self, n: int, members: tuple[int, ...]) -> None:
+    def __init__(self, n: int, members: Iterable[int]) -> None:
+        members = tuple(members)
         if n < 1:
             raise ValueError("ground size must be a positive integer")
-        if n > MAX_GROUND:
-            raise ValueError(f"ground size {n} exceeds maximum {MAX_GROUND}")
+        check_ground(n)
         if members and (members[0] < 0 or members[-1] >> n):
             raise ValueError(f"member mask out of range for ground size {n}")
         if any(map(operator.ge, members, itertools.islice(members, 1, None))):
@@ -164,8 +165,7 @@ def make_family(n: int, members: Iterable[Iterable[int]]) -> SetFamily:
 
 def enumerate_subsets(n: int, r: int) -> Iterator[int]:
     """All C(n, r) subsets of [n] as masks, each exactly once, in canonical order."""
-    if n > MAX_GROUND:
-        raise ValueError(f"ground size {n} exceeds maximum {MAX_GROUND}")
+    check_ground(n)
     if r < 0 or r > n:
         raise ValueError(f"subset size {r} out of range for ground size {n}")
     return iter_fixed_size_masks(n, r)

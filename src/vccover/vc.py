@@ -1,26 +1,26 @@
 """Exact shattering checks and VC-dimension computation.
 
 A probe A is shattered when every subset of A occurs as A ∩ S for a member
-S. The dimension search walks probe sizes upward, keeping the first
-(canonically smallest) witness per size; the first size with no shattered
-probe is an exhaustive refutation. Probes are drawn only from "active"
-elements (present in some member, absent from some member): an element in
-every member blocks the empty trace, an element in no member blocks the
-full trace, so no other probe can be shattered.
+S; ``shatters`` checks exactly that, by counting A's distinct traces. The
+dimension search is one depth-first walk over the shattered sets, keeping
+the first (canonically smallest) probe it meets of each size; when the walk
+runs to completion it is an exhaustive refutation one size above the
+largest. Probes are drawn only from "active" elements (present in some
+member, absent from some member): an element in every member blocks the
+empty trace, an element in no member blocks the full trace, so no other
+probe can be shattered.
 
-The search works in element space: a probe is a mask over [n] and the
+The walk works in element space: a probe is a mask over [n] and the
 elements it may still take are a candidate mask. It reads the family's
 incidence table (``incidence_columns``: per element, the bitset of members
 containing it), grows probes depth-first in colex order and keeps, per
 probe, its trace cells, the member bitsets realizing each of its 2^|A|
 traces. Adding an element splits every cell with one AND; a probe with an
 empty cell is pruned with all its extensions, because every subset of a
-shattered set is shattered (Sauer 1972, Shelah 1972, Pajor 1985). A
-shattered extension of A realizes its full trace, so one member of A's
-all-in cell (the members containing A) holds all of it; candidates outside
-the union of that cell are dropped, which keeps the colex order of the
-rest. ``shatters`` runs the same search with the probe's own elements as
-the candidates.
+shattered set is shattered (Sauer 1972, Shelah 1972). A shattered
+extension of A realizes its full trace, so one member of A's all-in cell
+(the members containing A) holds all of it; candidates outside the union
+of that cell are dropped, which keeps the colex order of the rest.
 """
 
 from __future__ import annotations
@@ -69,36 +69,36 @@ def shatters(f: SetFamily, probe: int) -> bool:
     """True iff the family realizes all 2^|probe| subsets of the probe."""
     if not f.members:
         raise ValueError("shattering is undefined for the empty family")
-    if not is_within(probe, f.n):
-        raise ValueError(f"probe {elements_of(probe)} not within [{f.n}]")
-    if not probe:
-        return True
-    return _first_shattered(f.members, incidence_columns(f), probe, probe.bit_count()) is not None
+    return len(trace(f, probe).traces) == 1 << probe.bit_count()
 
 
-def _first_shattered(
-    members: tuple[int, ...], columns: list[int], candidates: int, size: int
-) -> int | None:
-    """Colex-smallest shattered `size`-subset of the candidate mask, or None.
+def _shattered_walk(
+    members: tuple[int, ...], columns: list[int], candidates: int, cap: int
+) -> list[int]:
+    """``first[r]``: the colex-smallest shattered r-subset of the candidates.
 
-    Depth-first from the top element down, each level trying its candidates
-    in ascending order, so probes are met in colex order and the first hit
-    is the minimum. Adding element i splits every trace cell (the members
-    realizing one trace of the probe so far) into those that contain i and
-    those that do not; an empty half means a missing trace, and since
+    One depth-first walk over the shattered subsets of the candidate mask,
+    from the top element down: a probe is extended only by live candidates
+    below its lowest element, tried in ascending order. So the walk meets
+    the probes of each size in colex order, and the first probe it meets at
+    depth r is ``first[r]``. Adding element i splits every trace cell (the
+    members realizing one trace of the probe so far) into those that contain
+    i and those that do not; an empty half means a missing trace, and since
     shattered sets are down-closed no extension of that probe can shatter.
+    The walk stops at the first probe of size ``cap``; otherwise it runs to
+    completion, and the list ends at the largest shattered size.
 
     ``cells[0]`` is the all-in cell: the members containing every element
     chosen so far. A shattered extension realizes its full trace, so all of
     its elements lie in one of those members, and each node narrows its
     candidates to their union. Narrowing only removes elements no shattered
-    extension can hold and leaves the order of the rest alone, so the first
-    hit is still the colex-smallest. The union costs one OR per member of
-    the cell, so it is taken only when the cell has fewer members than
-    there are candidates left to narrow.
+    extension can hold and leaves the order of the rest alone. The union
+    costs one OR per member of the cell, so it is taken only when the cell
+    has fewer members than there are candidates left to narrow.
     """
+    first = [0]
 
-    def dfs(cells: list[int], live: int, need: int) -> int | None:
+    def dfs(cells: list[int], live: int, probe: int, size: int) -> bool:
         holders = cells[0]
         if holders.bit_count() < live.bit_count():
             union = 0
@@ -107,10 +107,7 @@ def _first_shattered(
                 union |= members[j]
                 holders ^= 1 << j
             live &= union
-        # The lowest need-1 candidates cannot top a probe of `need` elements.
         rest = live
-        for _ in range(need - 1):
-            rest &= rest - 1
         while rest:
             low = rest & -rest
             rest ^= low
@@ -123,23 +120,29 @@ def _first_shattered(
                 split.append(inside)
                 split.append(cell ^ inside)
             else:
-                if need == 1:
-                    return low
-                below = dfs(split, live & (low - 1), need - 1)
-                if below is not None:
-                    return below | low
-        return None
+                if size == len(first):
+                    first.append(probe | low)
+                    if size == cap:
+                        return True
+                if dfs(split, live & (low - 1), probe | low, size + 1):
+                    return True
+        return False
 
-    return dfs([(1 << len(members)) - 1], candidates, size)
+    if cap:
+        dfs([(1 << len(members)) - 1], candidates, 0, 1)
+    return first
 
 
 def vc_dimension(f: SetFamily) -> VcReport:
     """Exact VC-dimension of a nonempty family, with witness and refutation.
 
-    The search is capped by min(n, largest member size, log2 |F|, number of
-    active elements); a shattered set cannot exceed any of these. When the
-    scan stops below the cap, the refutation at dimension + 1 is the
-    completed exhaustive pass; at the cap it is the counting bound itself.
+    One walk over the shattered sets of the active elements, capped by
+    min(largest member size, n - smallest member size, log2 |F|, number of
+    active elements): a shattered set cannot exceed any of these (the
+    second because its empty trace needs a member disjoint from it). The
+    witness is the colex-smallest shattered set of the largest size. When
+    the walk stops below the cap, the refutation at dimension + 1 is the
+    completed walk; at the cap it is the counting bound itself.
     """
     if not f.members:
         raise ValueError("VC-dimension is undefined for the empty family")
@@ -151,21 +154,10 @@ def vc_dimension(f: SetFamily) -> VcReport:
         if 0 < column < everyone:
             active |= 1 << i
     sizes = [m.bit_count() for m in members]
-    min_size = min(sizes)
     floor_log2 = len(members).bit_length() - 1
-    cap = min(f.n, max(sizes), floor_log2, active.bit_count())
-    dimension = 0
-    witness = 0
-    for size in range(1, cap + 1):
-        if size + min_size > f.n:
-            # No member can be disjoint from a probe this large, so the
-            # empty trace is unrealizable and nothing of this size shatters.
-            break
-        hit = _first_shattered(members, columns, active, size)
-        if hit is None:
-            break
-        dimension, witness = size, hit
-    return VcReport(dimension=dimension, witness=witness, refuted_size=dimension + 1)
+    cap = min(max(sizes), f.n - min(sizes), floor_log2, active.bit_count())
+    first = _shattered_walk(members, columns, active, cap)
+    return VcReport(dimension=len(first) - 1, witness=first[-1], refuted_size=len(first))
 
 
 def sauer_shelah_sum(n: int, k: int) -> int:

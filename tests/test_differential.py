@@ -1,20 +1,21 @@
 """Differential tests: the fast kernels against slow references.
 
 The references are the straightforward scanners: probe by probe for the
-VC-dimension, k-set by k-set against every member for covering, and
-candidate by candidate against every other member for faces; for the
-oracle, the branch-and-bound with a dict of trace sets per probe. They
-share no code with the kernels beyond mask enumeration, and the tests
-demand exact equality of the reports, witnesses included, so a kernel that
-finds a valid but non-canonical witness fails here. The oracle reference
-is the plain DFS, without the packed search's refuted-sibling exclusion
-and root symmetry; the packed search must return the same witness or None
-on every case and may visit no more nodes than the reference. The
-`check ufp` command is held to the face reference too: its text verdict,
-which stops at the first member without a face, must name the reference's
-violator, and its JSON must be the full `unique_face` report. The
-incidence table is held to the element-by-member scan and the JSON writer
-to `json.dumps`.
+colex-smallest shattered set of each size (the shattering walk's whole
+output, not only the VC witness), k-set by k-set against every member for
+covering, and candidate by candidate against every other member for
+faces; for the oracle, the branch-and-bound with a dict of trace sets per
+probe. They share no code with the kernels beyond mask enumeration, and
+the tests demand exact equality of the reports, witnesses included, so a
+kernel that finds a valid but non-canonical witness fails here. The
+oracle reference is the plain DFS, without the packed search's
+refuted-sibling exclusion and root symmetry; the packed search must return
+the same witness or None on every case and may visit no more nodes than
+the reference. The `check ufp` command is held to the face reference too:
+its text verdict, which stops at the first member without a face, must
+name the reference's violator, and its JSON must be the full
+`unique_face` report. The incidence table is held to the element-by-member
+scan and the JSON writer to `json.dumps`.
 """
 
 import contextlib
@@ -37,39 +38,42 @@ from vccover import (
     vc_dimension,
     write_family,
 )
-from vccover.bitsets import elements_of, full_mask, iter_fixed_size_masks, iter_submasks, spread
+from vccover.bitsets import elements_of, full_mask, iter_fixed_size_masks, iter_submasks
 from vccover.cli import main
 from vccover.covering import first_faceless
 from vccover.constructions import covering_witness_family, full_family
 from vccover.families import SetFamily, incidence_columns, write_family_json
-from vccover.vc import shatters
+from vccover.vc import _shattered_walk, shatters
+
+
+def reference_first(f) -> list[int]:
+    """``first[r]``: the colex-smallest shattered r-set, scanning every r-set of [n].
+
+    Sizes go up until one has no shattered set; none above it can have one.
+    """
+    first = [0]
+    for size in range(1, f.n + 1):
+        hit = next((probe for probe in iter_fixed_size_masks(f.n, size)
+                    if len({probe & m for m in f.members}) == 1 << size), None)
+        if hit is None:
+            break
+        first.append(hit)
+    return first
 
 
 def reference_vc(f) -> VcReport:
-    """Colex-smallest shattered probe of each size, by scanning every probe."""
-    members = f.members
-    common, union = full_mask(f.n), 0
-    for m in members:
-        common &= m
-        union |= m
-    positions = elements_of(union & ~common)
-    cap = min(f.n, max(m.bit_count() for m in members),
-              len(members).bit_length() - 1, len(positions))
-    min_size = min(m.bit_count() for m in members)
-    dimension = witness = 0
-    for size in range(1, cap + 1):
-        if size + min_size > f.n:
-            break
-        hit = None
-        for compressed in iter_fixed_size_masks(len(positions), size):
-            probe = spread(compressed, positions)
-            if len({probe & m for m in members}) == 1 << size:
-                hit = probe
-                break
-        if hit is None:
-            break
-        dimension, witness = size, hit
-    return VcReport(dimension=dimension, witness=witness, refuted_size=dimension + 1)
+    first = reference_first(f)
+    return VcReport(dimension=len(first) - 1, witness=first[-1], refuted_size=len(first))
+
+
+def assert_walk_matches(f, label) -> None:
+    """Every ``first[r]`` of the walk, uncapped and at every cap below the end."""
+    first = reference_first(f)
+    columns = incidence_columns(f)
+    assert _shattered_walk(f.members, columns, full_mask(f.n), f.n + 1) == first, label
+    for cap in range(1, len(first)):
+        assert _shattered_walk(f.members, columns, full_mask(f.n), cap) == first[: cap + 1], \
+            (label, cap)
 
 
 def reference_cover(f, k: int) -> CoverReport:
@@ -108,6 +112,7 @@ def assert_kernels_match(f, label) -> None:
         assert is_k_covering(f, k) == reference_cover(f, k), (label, k)
     if f.members:
         assert vc_dimension(f) == reference_vc(f), label
+        assert_walk_matches(f, label)
         faces = reference_faces(f)
         assert unique_face(f) == faces, label
         assert first_faceless(f) == faces.violator, label
@@ -240,12 +245,18 @@ def test_shattering_search_prunes_to_the_reference():
     for f in PRUNING_FAMILIES:
         report = vc_dimension(f)
         assert report == reference_vc(f), f
+        assert_walk_matches(f, f)
         assert shatters(f, report.witness)
         ground = min(f.n, 9)
         for size in range(1, 4):
             for probe in iter_fixed_size_masks(ground, size):
                 expected = len({probe & m for m in f.members}) == 1 << size
                 assert shatters(f, probe) == expected, (f, elements_of(probe))
+
+
+def test_shatters_beyond_size_three():
+    assert shatters(full_family(16, 8), full_mask(8))
+    assert not shatters(full_family(12, 3), full_mask(4))
 
 
 class ReferenceSearch:

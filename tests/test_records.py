@@ -77,6 +77,16 @@ def test_set_family_equality_and_hash():
     assert copy.deepcopy(f) == f
 
 
+def test_set_family_copies_a_list_of_members():
+    masks = [1, 2]
+    f = SetFamily(3, masks)
+    assert f == SetFamily(3, (1, 2)) and hash(f) == hash(SetFamily(3, (1, 2)))
+    assert f.members == (1, 2) and repr(f) == "SetFamily(n=3, members=(1, 2), uniform_size=1)"
+    masks.append(4)
+    masks[0] = 0
+    assert f.members == (1, 2) and len(f) == 2
+
+
 @pytest.mark.parametrize(
     "k, s, n, message",
     [
