@@ -9,7 +9,9 @@ bitsets). The canonical text format is::
     3 4
 
 with one member per line, elements ascending, the empty member written as
-"-", and member lines sorted by mask order. The JSON mirror is
+"-", and member lines sorted by mask order. The reader accepts a parameter
+line only when it is exactly the one the writer writes for the members
+read. The JSON mirror is
 ``{"n": int, "members": [[int, ...], ...]}`` with the same ordering rules.
 """
 
@@ -186,38 +188,35 @@ def _member_parts(f: SetFamily) -> Iterator[list[str]]:
 
 def write_family(f: SetFamily) -> str:
     """Serialize to the canonical text format (LF line endings)."""
-    s_field = "mixed" if f.uniform_size is None else str(f.uniform_size)
-    lines = [FORMAT_HEADER, f"n={f.n} s={s_field}"]
+    lines = [FORMAT_HEADER, _parameter_line(f)]
     lines.extend(" ".join(parts) or "-" for parts in _member_parts(f))
     return "\n".join(lines) + "\n"
 
 
-def _header_int(text: str, name: str, line: str) -> int:
-    """The decimal integer ``text``, written as ``str`` writes it."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or str(value) != text:
-        raise FamilyFormatError(f"malformed header: bad {name} in {line!r}")
-    return value
+def _parameter_line(f: SetFamily) -> str:
+    """The line under the format header: ``n=<n> s=<uniform size or "mixed">``."""
+    return f"n={f.n} s={'mixed' if f.uniform_size is None else f.uniform_size}"
 
 
-def _parse_header(lines: list[str]) -> tuple[int, int | None]:
+def _header_n(lines: list[str]) -> int:
+    """The ground size n from the parameter line, read before any member.
+
+    The readers need n to range-check elements. The spelling of n and the
+    rest of the line are checked after the members are read, against the
+    line the writer writes for them.
+    """
     if not lines or lines[0] != FORMAT_HEADER:
         raise FamilyFormatError(f"malformed header: expected '{FORMAT_HEADER}'")
     if len(lines) < 2:
         raise FamilyFormatError("malformed header: missing parameter line")
-    parts = lines[1].split(" ")
-    if len(parts) != 2 or not parts[0].startswith("n=") or not parts[1].startswith("s="):
-        raise FamilyFormatError(f"malformed header: {lines[1]!r}")
-    n = _header_int(parts[0][2:], "n", lines[1])
-    if n < 1 or n > MAX_GROUND:
-        raise FamilyFormatError(f"malformed header: n={n} out of range")
-    s_text = parts[1][2:]
-    if s_text == "mixed":
-        return n, None
-    return n, _header_int(s_text, "s", lines[1])
+    field = lines[1].split(" ")[0]
+    try:
+        n = int(field[2:]) if field.startswith("n=") else 0
+    except ValueError:
+        n = 0
+    if not 1 <= n <= MAX_GROUND:
+        raise FamilyFormatError(f"malformed header: bad n in {lines[1]!r}")
+    return n
 
 
 def _append_member(masks: list[int], elements: Iterable[int], n: int, raw: str | list) -> None:
@@ -266,19 +265,21 @@ def read_family(text: str) -> SetFamily:
     """Parse canonical text, enforcing the canonical form strictly.
 
     Rejects unsorted element lines, member lines out of mask order,
-    duplicate members, and a size header inconsistent with the members.
+    duplicate members, and a parameter line other than the one
+    ``write_family`` writes for the members read.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    n, declared_s = _parse_header(lines)
+    n = _header_n(lines)
     masks: list[int] = []
     for line in lines[2:]:
         _append_member(masks, _line_elements(line), n, line)
     f = SetFamily(n, tuple(masks))
-    if f.uniform_size != declared_s:
+    expected = _parameter_line(f)
+    if lines[1] != expected:
         actual = "no uniform size" if f.uniform_size is None else f"uniform size {f.uniform_size}"
-        raise FamilyFormatError(f"header {lines[1]!r} disagrees with the members: {actual}")
+        raise FamilyFormatError(f"malformed header {lines[1]!r}: the members need {expected!r} ({actual})")
     return f
 
 

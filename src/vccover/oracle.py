@@ -40,7 +40,6 @@ from .families import (
     FeasibilityError,
     Parameters,
     SetFamily,
-    family_from_masks,
 )
 
 
@@ -113,6 +112,8 @@ class _Search:
     def search(self, d: int) -> tuple[int, ...] | None:
         """The members of the first covering with VC <= d in DFS order, or None.
 
+        The members come in universe order, which is canonical mask order.
+
         A member's pattern word sets, in each probe's field, the bit of its
         trace on that probe: one lookup of `member & probe` in the probe's
         table of its 2^(d+1) traces. The root branches on the k-set {1..k}
@@ -141,24 +142,35 @@ class _Search:
         """Bitmap of the chosen universe indices of the first covering below, or None.
 
         `missing` is the bitmap of uncovered k-sets, `chosen` that of the
-        universe indices taken so far.
+        universe indices taken so far. The walk keeps an explicit stack of
+        (missing, chosen, state, allowed, live, low) frames, one per chosen
+        member, so a covering of any size fits; `live` holds a node's
+        untried candidates and `low` the one its child took. Nodes are
+        visited in the order of the recursive walk.
         """
-        self.nodes += 1
-        if not missing:
-            return chosen
-        live = self.candidates_for[(missing & -missing).bit_length() - 1] & allowed
         words, ones, guard, coverage_of = self.words, self.ones, self.guard, self.coverage_of
-        while live:
-            low = live & -live
-            live ^= low
-            j = low.bit_length() - 1
-            grown = state | words[j]
-            if not (grown + ones) & guard:
-                result = self.dfs(missing & ~coverage_of[j], chosen | low, grown, allowed)
-                if result is not None:
-                    return result
-            allowed ^= low
-        return None
+        candidates_for, stack = self.candidates_for, []
+        while True:
+            self.nodes += 1
+            if not missing:
+                return chosen
+            live = candidates_for[(missing & -missing).bit_length() - 1] & allowed
+            while True:
+                if live:
+                    low = live & -live
+                    live ^= low
+                    j = low.bit_length() - 1
+                    grown = state | words[j]
+                    if not (grown + ones) & guard:
+                        stack.append((missing, chosen, state, allowed, live, low))
+                        missing, chosen, state = missing & ~coverage_of[j], chosen | low, grown
+                        break
+                    allowed ^= low
+                elif stack:
+                    missing, chosen, state, allowed, live, low = stack.pop()
+                    allowed ^= low
+                else:
+                    return None
 
 
 def exists_covering_with_vc_at_most(
@@ -183,14 +195,14 @@ def exists_covering_with_vc_at_most(
     found = search.search(d)
     if stats is not None:
         stats["nodes"] = stats.get("nodes", 0) + search.nodes
-    return None if found is None else family_from_masks(params.n, found)
+    return None if found is None else SetFamily(params.n, found)
 
 
 @lru_cache(maxsize=65536)
 def _cached_vc(n: int, members: tuple[int, ...]) -> int:
     from .vc import vc_dimension
 
-    return vc_dimension(family_from_masks(n, members)).dimension
+    return vc_dimension(SetFamily(n, members)).dimension
 
 
 def _oracle_enumerate(search: _Search) -> tuple[int, SetFamily, int]:
@@ -220,7 +232,7 @@ def _oracle_enumerate(search: _Search) -> tuple[int, SetFamily, int]:
             if value == 0:
                 break
     assert best_value is not None and best_members is not None
-    return best_value, family_from_masks(search.n, best_members), examined
+    return best_value, SetFamily(search.n, best_members), examined
 
 
 def oracle_D(
@@ -251,5 +263,5 @@ def oracle_D(
     for d in range(min(params.s, params.n - params.s) + 1):
         found = search.search(d)
         if found is not None:
-            return OracleResult(params, d, family_from_masks(params.n, found), search.nodes, method)
+            return OracleResult(params, d, SetFamily(params.n, found), search.nodes, method)
     raise AssertionError("full family always qualifies at d = min(s, n-s)")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bitsets import MAX_GROUND, elements_of, mask_of
+from .bitsets import MAX_GROUND, mask_of
 from .covering import first_faceless, is_k_covering
 from .constructions import covering_witness_family, recursive_family
 from .families import DEFAULT_CAP, Parameters, SetFamily, write_family
@@ -120,7 +120,13 @@ def upper_bound_certificate(k: int, s: int, n: int, witness_path: str | None = N
 
 
 class PropConstReport(NamedTuple):
-    """Per-item verification of the recursive family's stated properties."""
+    """Per-item verification of the recursive family's stated properties.
+
+    ``interpolation_violation`` is (member, t-1) for the first member, in
+    member order, whose top element t cannot move down one step to t-1
+    while t-1 is still above its second-largest element; None when
+    property 3 holds.
+    """
 
     m: int
     k: int
@@ -154,13 +160,33 @@ class PropConstReport(NamedTuple):
         }
 
 
+def _interpolation_violation(members: tuple[int, ...]) -> tuple[int, int] | None:
+    """Property 3 by one lowering step: the first member, in member order, that fails it.
+
+    A member with top element t passes when t-1 is not above its
+    second-largest element, or when moving t down to t-1 gives a member.
+    That step implies every lower value: the lowered member keeps the same
+    second-largest element, so its own step covers t-2, and so on. Returns
+    (member, t-1) for the first member whose lowered member is missing, or
+    None when every member passes.
+    """
+    member_set = set(members)
+    for member in members:
+        top = 1 << member.bit_length() >> 1  # bit of t; 0 for the empty member
+        rest, below = member ^ top, top >> 1  # the other elements; bit of t-1
+        if below > rest and rest | below not in member_set:
+            return member, member.bit_length() - 1
+    return None
+
+
 def verify_prop_const(m: int, k: int) -> PropConstReport:
     """Exhaustively check the four stated properties of the recursive family.
 
     1. k-covering; 2. unique faces; 3. any member's top element can be
     lowered to any value still above the second-largest element, staying in
     the family; 4. the top k-element window of the ground set is shattered
-    (checked only when 2k < n, vacuous otherwise).
+    (checked only when 2k < n, vacuous otherwise). Property 3 is checked
+    one lowering step per member (see `_interpolation_violation`).
     """
     n = m + k - 1
     if n > 16:
@@ -168,21 +194,7 @@ def verify_prop_const(m: int, k: int) -> PropConstReport:
     fam = recursive_family(m, k)
     cover = is_k_covering(fam, k)
     violator = first_faceless(fam)
-    member_set = set(fam.members)
-    interpolation = True
-    interpolation_violation = None
-    for member in fam.members:
-        elems = elements_of(member)
-        t_second, t_top = elems[-2], elems[-1]
-        base = member & ~(1 << (t_top - 1))
-        for t_hat in range(t_second + 1, t_top):
-            candidate = base | (1 << (t_hat - 1))
-            if candidate not in member_set:
-                interpolation = False
-                interpolation_violation = (member, t_hat)
-                break
-        if not interpolation:
-            break
+    interpolation_violation = _interpolation_violation(fam.members)
     tail_checked = 2 * k < n
     if tail_checked:
         window = mask_of(range(n - k + 1, n + 1))
@@ -195,7 +207,7 @@ def verify_prop_const(m: int, k: int) -> PropConstReport:
         n=n,
         covering=cover.holds,
         unique_faces=violator is None,
-        interpolation=interpolation,
+        interpolation=interpolation_violation is None,
         tail_shattered=tail_shattered,
         tail_checked=tail_checked,
         uncovered=cover.uncovered,

@@ -15,7 +15,9 @@ the reference. The `check ufp` command is held to the face reference too:
 its text verdict, which stops at the first member without a face, must
 name the reference's violator, and its JSON must be the full
 `unique_face` report. The incidence table is held to the element-by-member
-scan and the JSON writer to `json.dumps`.
+scan and the JSON writer to `json.dumps`. Property 3 of the recursive
+family, checked one lowering step per member, is held to the scan of every
+lowered top value.
 """
 
 import contextlib
@@ -44,6 +46,7 @@ from vccover.covering import first_faceless
 from vccover.constructions import covering_witness_family, full_family
 from vccover.families import SetFamily, incidence_columns, write_family_json
 from vccover.vc import _shattered_walk, shatters
+from vccover.verify import _interpolation_violation
 
 
 def reference_first(f) -> list[int]:
@@ -178,6 +181,56 @@ def test_check_ufp_matches_reference_faces(f):
     code, text = run_check_ufp(f, "--format", "json")
     assert code == (0 if faces.holds else 1)
     assert text == json.dumps(unique_face(f).as_dict()) + "\n"
+
+
+def reference_lowering_gaps(members) -> list[tuple[int, int]]:
+    """Every (member, t_hat) whose member with its top lowered to t_hat is missing.
+
+    Tries every t_hat strictly between the second-largest element (0 for a
+    one-element member) and the top element.
+    """
+    member_set = set(members)
+    gaps = []
+    for member in members:
+        elems = elements_of(member)
+        if not elems:
+            continue
+        second = elems[-2] if len(elems) > 1 else 0
+        base = member & ~(1 << (elems[-1] - 1))
+        gaps += [(member, t_hat) for t_hat in range(second + 1, elems[-1])
+                 if base | 1 << (t_hat - 1) not in member_set]
+    return gaps
+
+
+@st.composite
+def lowering_families(draw):
+    """Random families; some closed under lowering the top element, some closed but one member short."""
+    f = draw(families())
+    closure = set(f.members)
+    for member, t_hat in reference_lowering_gaps(f.members):
+        closure.add(member & ~(1 << (member.bit_length() - 1)) | 1 << (t_hat - 1))
+    mode = draw(st.sampled_from(["raw", "closed", "closed-less-one"]))
+    if mode == "raw":
+        return f
+    members = sorted(closure)
+    if mode == "closed-less-one" and members:
+        members.pop(draw(st.integers(min_value=0, max_value=len(members) - 1)))
+    return SetFamily(f.n, members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lowering_families())
+def test_interpolation_by_one_step_matches_the_full_scan(f):
+    gaps = reference_lowering_gaps(f.members)
+    violation = _interpolation_violation(f.members)
+    assert (violation is None) == (not gaps)
+    if violation is not None:
+        member, t = violation
+        top = member.bit_length()
+        assert t == top - 1 and (member, t) in gaps
+        assert member ^ (1 << (top - 1)) | 1 << (t - 1) not in f.members
+        # The first member, in member order, whose one-step lowering is missing.
+        assert violation == next(gap for gap in gaps if gap[1] == gap[0].bit_length() - 1)
 
 
 def test_kernels_match_references_on_corpus(corpus):

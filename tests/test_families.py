@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vccover import (
     FamilyFormatError,
@@ -176,6 +176,50 @@ class TestFileFormat:
     def test_mixed_header_for_uniform_members_rejected(self):
         with pytest.raises(FamilyFormatError, match="uniform"):
             read_family("vcfam 1\nn=4 s=mixed\n1 2\n3 4\n")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=10).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.one_of(st.none(), st.integers(min_value=0, max_value=n)).flatmap(
+                    lambda size: st.lists(
+                        st.sets(st.integers(min_value=1, max_value=n), min_size=size or 0,
+                                max_size=n if size is None else size),
+                        max_size=8,
+                    )
+                ),
+            )
+        )
+    )
+    def test_parameter_line_accepted_exactly_as_written(self, case):
+        # Every spelling keeps n's value or puts it out of range, so a line
+        # other than the written one can only misspell it, never name
+        # another valid family.
+        n, members = case
+        f = make_family(n, members)
+        header, written, body = write_family(f).split("\n", 2)
+        spell_n = [str(n), f"0{n}", f"+{n}", f" {n}", f"{n}\t", "".join(chr(0x660 + int(c)) for c in str(n)),
+                   "0", "-1", "257", "four", ""]
+        spell_s = ["mixed", "mixed ", "-1", "0", "1", "2", "3", "02", "+2", "\u0662", "", "2 "]
+        if f.uniform_size is not None:
+            spell_s.append(str(f.uniform_size))
+        lines = [f"n={a} s={b}" for a in spell_n for b in spell_s]
+        lines += [written.replace(" ", "  "), written + " ", written + "\t", " " + written,
+                  written.split(" ")[0], written.split(" ")[1] + " " + written.split(" ")[0],
+                  written.replace("n=", "N="), written.replace("s=", "size=")]
+        for line in lines:
+            text = f"{header}\n{line}\n{body}"
+            if line == written:
+                assert read_family(text) == f, line
+            else:
+                with pytest.raises(FamilyFormatError, match="malformed header"):
+                    read_family(text)
+
+    def test_header_error_names_the_written_line(self):
+        with pytest.raises(FamilyFormatError) as error:
+            read_family("vcfam 1\nn=4 s=mixed\n1 2\n3 4\n")
+        assert str(error.value) == "malformed header 'n=4 s=mixed': the members need 'n=4 s=2' (uniform size 2)"
 
     def test_empty_member_round_trip(self):
         f = make_family(3, [set(), {1, 3}])

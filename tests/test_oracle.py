@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import pytest
@@ -195,3 +196,23 @@ class TestHardTriples:
                 Parameters(*triple), 2, cap=126, stats=stats
             ) is None, triple
             assert stats["nodes"] == nodes, triple
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_covering_deeper_than_the_recursion_limit():
+    # The covering of [80] by singletons is 80 members deep; the search keeps
+    # its own stack, so 50 frames above the caller's depth are enough.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        result = oracle_D(Parameters(1, 1, 80), cap=100)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.value == 1
+    assert len(result.witness) == 80
