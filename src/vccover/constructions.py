@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .bitsets import check_ground, elements_of, full_mask
+from .bitsets import MAX_GROUND, check_ground, elements_of, full_mask
 from .families import Parameters, SetFamily, enumerate_subsets, family_from_masks
 
 
@@ -28,6 +28,8 @@ class HypercubeSpec(namedtuple("HypercubeSpec", "k m")):
     def __new__(cls, k: int, m: int) -> HypercubeSpec:
         if k < 1 or m < 1:
             raise ValueError(f"need k >= 1 and m >= 1, got k={k} m={m}")
+        if m > 8 or k >= MAX_GROUND:  # (k+1)^m > 256, refused before the power is taken
+            raise ValueError(f"ground size {k + 1}^{m} exceeds maximum {MAX_GROUND}")
         self = super().__new__(cls, k, m)
         check_ground(self.ground_size)
         return self

@@ -19,8 +19,11 @@ transitively, so a covering exists iff one contains {1..s}, the root's
 first branch; the other root branches are never entered.
 
 One `_Search` per (k, s, n) serves both routes: its universe, coverage
-table and candidate bitmaps are built once, after the cap check, and
-serve every d of the scan; only the pattern words are built per d.
+table and candidate bitmaps are built once, after the cap check, from the
+package's own subset enumeration and incidence table, and serve every d of
+the scan. Only the pattern words are built per d, each member's word as
+one binary string read by one `int(..., 2)`, and one method, `search(d)`,
+runs the whole search for that d.
 
 Both routes are sequential and deterministic: branches and subfamilies run
 in canonical order, so value, witness and node count never depend on the
@@ -30,16 +33,18 @@ worker count.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 from typing import NamedTuple
 
-from .bitsets import elements_of, iter_fixed_size_masks, spread
+from .bitsets import elements_of, iter_fixed_size_masks, iter_submasks, spread
 from .families import (
     DEFAULT_CAP,
     DEFAULT_ENUM_CAP,
     FeasibilityError,
     Parameters,
     SetFamily,
+    incidence_columns,
 )
 
 
@@ -62,21 +67,47 @@ class OracleResult(NamedTuple):
         }
 
 
+def _pattern_words(universe: list[int], n: int, d: int) -> tuple[list[int], int]:
+    """Each member's pattern word for VC <= d, and the word with bit 0 of every field.
+
+    A word has one field of 2^(d+1) + 1 bits per (d+1)-probe, probe p at
+    bit offset p * width, and sets bit t of a field when the member's trace
+    on that probe is pattern t (t spread over the probe's elements); the
+    top bit of each field stays 0 as a guard. A member's word is spelled as
+    one binary string, highest probe first, each field picked by one lookup
+    of `member & probe` in that probe's table, and converted by one
+    `int(..., 2)`, so the build is linear in the words' total width.
+    """
+    width = (1 << (d + 1)) + 1
+    fields = ["0" * (width - 1 - t) + "1" + "0" * t for t in range(width - 1)]
+    tables = []
+    for probe in reversed(list(iter_fixed_size_masks(n, d + 1))):
+        positions = elements_of(probe)
+        tables.append((probe, {spread(t, positions): field for t, field in enumerate(fields)}))
+    words = [int("".join([table[m & probe] for probe, table in tables]), 2) for m in universe]
+    return words, int(fields[0] * len(tables), 2)
+
+
 class _Search:
     """Branch-and-bound over the subfamilies of one (k, s, n) universe.
 
     The constructor checks the cap, then builds everything that does not
-    depend on d once per triple: the universe of s-sets, the coverage
-    table and the candidate bitmaps. `search(d)` builds only the pattern
-    words for its d, and `nodes` counts the nodes of every search run.
+    depend on d once per triple, from the package's own kernels: the
+    universe of s-sets; `coverage_of[j]`, the bitmap of the k-sets inside
+    universe[j], as the OR of their index bits over `iter_submasks`; and
+    `candidates_for[i]`, the bitmap of the members holding k-set i, as the
+    AND of its elements' columns in the universe's incidence table, the
+    rule `covering.py` uses. `search(d)` builds its d's pattern words
+    (`_pattern_words`) and runs the DFS; `nodes` counts the nodes of every
+    search run.
 
     The traces of a partial family live in one int with a field of P + 1
     bits per (d+1)-probe, P = 2^(d+1): bit t of a field is set when some
     chosen member has trace pattern t on that probe, and the top bit is a
-    guard that stays 0. Adding a member ORs in its precomputed pattern word.
-    A probe is shattered when its P pattern bits are all set, which is
-    exactly when adding 1 at the field's low end carries into its guard;
-    no other field carries, so one addition tests every probe.
+    guard that stays 0. Adding a member ORs in its pattern word. A probe is
+    shattered when its P pattern bits are all set, which is exactly when
+    adding 1 at the field's low end carries into its guard; no other field
+    carries, so one addition tests every probe.
 
     `allowed` is a bitmask of the universe indices a subtree may still use.
     Once branch j under a node fails, by a shattered probe or an empty
@@ -95,65 +126,38 @@ class _Search:
             raise FeasibilityError(f"universe C({n},{s}) = {universe_size} exceeds cap {cap}")
         self.n = n
         self.universe = list(iter_fixed_size_masks(n, s))
-        k_sets = list(iter_fixed_size_masks(n, k))
-        self.all_covered = (1 << len(k_sets)) - 1
-        # coverage_of[j]: bitmap of the indices of the k-sets inside universe[j]
-        self.coverage_of = [
-            sum(1 << i for i, a in enumerate(k_sets) if a & member == a)
-            for member in self.universe
-        ]
-        # candidates_for[i]: bitmap of the universe indices covering k-set i
-        self.candidates_for = [
-            sum(1 << j for j, bits in enumerate(self.coverage_of) if bits >> i & 1)
-            for i in range(len(k_sets))
-        ]
+        bit_of = {a: 1 << i for i, a in enumerate(iter_fixed_size_masks(n, k))}
+        self.all_covered = (1 << len(bit_of)) - 1
+        self.coverage_of = [sum(bit_of[a] for a in iter_submasks(m, k)) for m in self.universe]
+        columns = incidence_columns(SetFamily(n, self.universe))
+        self.candidates_for = [reduce(and_, [columns[e - 1] for e in elements_of(a)])
+                               for a in bit_of]
         self.nodes = 0
 
-    def search(self, d: int) -> tuple[int, ...] | None:
-        """The members of the first covering with VC <= d in DFS order, or None.
+    def search(self, d: int) -> SetFamily | None:
+        """The first covering with VC <= d in DFS order, or None.
 
-        The members come in universe order, which is canonical mask order.
-
-        A member's pattern word sets, in each probe's field, the bit of its
-        trace on that probe: one lookup of `member & probe` in the probe's
-        table of its 2^(d+1) traces. The root branches on the k-set {1..k}
-        and, by symmetry, enters only its first candidate, universe[0] =
-        {1..s}; one member shatters no probe, so that branch needs no test.
-        Every index starts allowed.
+        The root branches on the k-set {1..k} and, by symmetry, enters only
+        its first candidate, universe[0] = {1..s}; one member shatters no
+        probe, so that branch needs no test, and every index starts allowed.
+        Below it the walk keeps an explicit stack of (missing, chosen,
+        state, allowed, live, low) frames, one per chosen member, so a
+        covering of any size fits: `missing` is the bitmap of uncovered
+        k-sets, `chosen` that of the universe indices taken, `live` a
+        node's untried candidates and `low` the one its child took. Nodes
+        are visited in the order of the recursive walk and counted in a
+        local, added to `nodes` on return.
         """
-        width = (1 << (d + 1)) + 1
-        self.words = [0] * len(self.universe)
-        self.ones = 0
-        for p, probe in enumerate(iter_fixed_size_masks(self.n, d + 1)):
-            offset = p * width
-            self.ones |= 1 << offset
-            positions = elements_of(probe)
-            bit_of = {spread(t, positions): 1 << (offset + t) for t in range(width - 1)}
-            for j, member in enumerate(self.universe):
-                self.words[j] |= bit_of[member & probe]
-        self.guard = self.ones << (width - 1)
-        self.nodes += 1
-        found = self.dfs(self.all_covered & ~self.coverage_of[0], 1, self.words[0], -1)
-        if found is None:
-            return None
-        return tuple(member for j, member in enumerate(self.universe) if found >> j & 1)
-
-    def dfs(self, missing: int, chosen: int, state: int, allowed: int) -> int | None:
-        """Bitmap of the chosen universe indices of the first covering below, or None.
-
-        `missing` is the bitmap of uncovered k-sets, `chosen` that of the
-        universe indices taken so far. The walk keeps an explicit stack of
-        (missing, chosen, state, allowed, live, low) frames, one per chosen
-        member, so a covering of any size fits; `live` holds a node's
-        untried candidates and `low` the one its child took. Nodes are
-        visited in the order of the recursive walk.
-        """
-        words, ones, guard, coverage_of = self.words, self.ones, self.guard, self.coverage_of
-        candidates_for, stack = self.candidates_for, []
+        words, ones = _pattern_words(self.universe, self.n, d)
+        guard = ones << (1 << (d + 1))
+        universe, coverage_of, candidates_for = self.universe, self.coverage_of, self.candidates_for
+        missing, chosen, state, allowed = self.all_covered & ~coverage_of[0], 1, words[0], -1
+        nodes, stack = 1, []
         while True:
-            self.nodes += 1
+            nodes += 1
             if not missing:
-                return chosen
+                self.nodes += nodes
+                return SetFamily(self.n, [m for j, m in enumerate(universe) if chosen >> j & 1])
             live = candidates_for[(missing & -missing).bit_length() - 1] & allowed
             while True:
                 if live:
@@ -170,6 +174,7 @@ class _Search:
                     missing, chosen, state, allowed, live, low = stack.pop()
                     allowed ^= low
                 else:
+                    self.nodes += nodes
                     return None
 
 
@@ -195,7 +200,7 @@ def exists_covering_with_vc_at_most(
     found = search.search(d)
     if stats is not None:
         stats["nodes"] = stats.get("nodes", 0) + search.nodes
-    return None if found is None else SetFamily(params.n, found)
+    return found
 
 
 @lru_cache(maxsize=65536)
@@ -263,5 +268,5 @@ def oracle_D(
     for d in range(min(params.s, params.n - params.s) + 1):
         found = search.search(d)
         if found is not None:
-            return OracleResult(params, d, SetFamily(params.n, found), search.nodes, method)
+            return OracleResult(params, d, found, search.nodes, method)
     raise AssertionError("full family always qualifies at d = min(s, n-s)")

@@ -333,12 +333,11 @@ def surjectivity_scan(rows: list[ExplorationRow]) -> set[int]:
 
 
 def rows_to_csv(rows: list[ExplorationRow]) -> str:
-    """Frozen CSV schema: k,s,n,lower,upper,exact,method; csv writes a None exact as ""."""
-    import csv
-    import io
+    """Frozen CSV schema: k,s,n,lower,upper,exact,method, rows sorted by (k, s, n).
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ExplorationRow._fields)
-    writer.writerows(sorted(rows, key=lambda r: (r.k, r.s, r.n)))
-    return buf.getvalue()
+    No field holds a comma, quote or newline, so each line is its fields
+    joined by commas, a None exact written as "", byte for byte what
+    ``csv.writer`` writes.
+    """
+    lines = [ExplorationRow._fields, *sorted(rows, key=lambda r: (r.k, r.s, r.n))]
+    return "".join(",".join(["" if v is None else str(v) for v in line]) + "\n" for line in lines)

@@ -177,6 +177,15 @@ class TestHypercube:
     def test_ground_too_large(self):
         with pytest.raises(ValueError):
             hypercube_family(3, 6)
+        # Refused before (k+1)^m is taken: the power of a huge m, or of a
+        # 301-digit k, would take seconds and overflow the int-to-str limit.
+        for k, m in [(2, 10_000_000), (10**300, 20), (1, 9), (256, 1)]:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="exceeds maximum 256"):
+                HypercubeSpec(k=k, m=m)
+            assert time.perf_counter() - start < 1.0, (k, m)
+        assert HypercubeSpec(k=1, m=8).ground_size == 256
+        assert HypercubeSpec(k=255, m=1).ground_size == 256
 
     def test_label_bijection(self):
         spec = HypercubeSpec(k=2, m=3)

@@ -17,13 +17,19 @@ name the reference's violator, and its JSON must be the full
 `unique_face` report. The incidence table is held to the element-by-member
 scan and the JSON writer to `json.dumps`. Property 3 of the recursive
 family, checked one lowering step per member, is held to the scan of every
-lowered top value.
+lowered top value. The oracle's packed kernel is held to the plain
+definitions too: its coverage and candidate tables to subset tests, each
+pattern word to the trace of its member on every probe, and the one-add
+shattering test to `vc_dimension` on random subfamilies. The explore CSV
+is held to `csv.writer`.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
+import random
 from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
@@ -40,13 +46,14 @@ from vccover import (
     vc_dimension,
     write_family,
 )
-from vccover.bitsets import elements_of, full_mask, iter_fixed_size_masks, iter_submasks
+from vccover.bitsets import elements_of, full_mask, iter_fixed_size_masks, iter_submasks, spread
 from vccover.cli import main
 from vccover.covering import first_faceless
 from vccover.constructions import covering_witness_family, full_family
 from vccover.families import SetFamily, incidence_columns, write_family_json
+from vccover.oracle import _pattern_words, _Search
 from vccover.vc import _shattered_walk, shatters
-from vccover.verify import _interpolation_violation
+from vccover.verify import ExplorationRow, _interpolation_violation, explore, rows_to_csv
 
 
 def reference_first(f) -> list[int]:
@@ -406,3 +413,84 @@ def test_oracle_search_matches_reference():
                     assert stats["nodes"] <= reference.nodes, (k, s, n, d)
                     cases += 1
     assert cases == 152
+
+
+def small_universes():
+    """Every (k, s, n) with n <= 7 and C(n, s) <= 24, with its `_Search`."""
+    for n in range(1, 8):
+        for s in range(1, n + 1):
+            if math.comb(n, s) <= 24:
+                for k in range(1, s + 1):
+                    yield (k, s, n), _Search(Parameters(k, s, n), 24)
+
+
+def test_oracle_tables_match_subset_definitions():
+    for (k, s, n), search in small_universes():
+        k_sets = list(iter_fixed_size_masks(n, k))
+        assert search.universe == list(iter_fixed_size_masks(n, s))
+        assert search.all_covered == (1 << len(k_sets)) - 1
+        for j, member in enumerate(search.universe):
+            inside = {i for i, a in enumerate(k_sets) if a & member == a}
+            assert {i for i in range(len(k_sets)) if search.coverage_of[j] >> i & 1} == inside
+        for i, a in enumerate(k_sets):
+            holders = {j for j, member in enumerate(search.universe) if a & member == a}
+            assert {j for j in range(len(search.universe))
+                    if search.candidates_for[i] >> j & 1} == holders, (k, s, n, i)
+
+
+def test_pattern_words_set_each_probe_trace_bit():
+    cases = 0
+    for (k, s, n), search in small_universes():
+        for d in range(min(s, n - s) + 1):
+            words, ones = _pattern_words(search.universe, n, d)
+            width = (1 << (d + 1)) + 1
+            probes = list(iter_fixed_size_masks(n, d + 1))
+            assert ones == sum(1 << p * width for p in range(len(probes)))
+            for member, word in zip(search.universe, words, strict=True):
+                expected = sum(
+                    1 << p * width + t
+                    for p, probe in enumerate(probes)
+                    for t in range(width - 1)
+                    if spread(t, elements_of(probe)) == member & probe
+                )
+                assert word == expected, (k, s, n, d, member)
+            cases += 1
+    assert cases == 152
+
+
+def test_packed_shattering_test_matches_vc_dimension():
+    rng = random.Random(20240517)
+    outcomes = set()
+    for (k, s, n), search in small_universes():
+        universe = search.universe
+        for d in range(min(s, n - s) + 1):
+            words, ones = _pattern_words(universe, n, d)
+            guard = ones << (1 << (d + 1))
+            for _ in range(12):
+                chosen = rng.sample(range(len(universe)), rng.randint(1, len(universe)))
+                state = 0
+                for j in chosen:
+                    state |= words[j]
+                family = family_from_masks(n, [universe[j] for j in chosen])
+                shattered = bool((state + ones) & guard)
+                assert shattered == (vc_dimension(family).dimension > d), (k, s, n, d, family.members)
+                outcomes.add(shattered)
+    assert outcomes == {False, True}
+
+
+def reference_csv(rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(ExplorationRow._fields)
+    writer.writerows(sorted(rows, key=lambda r: (r.k, r.s, r.n)))
+    return buf.getvalue()
+
+
+def test_rows_to_csv_matches_csv_writer():
+    # Sweeps with oracle, unique-family and blank-method rows, and None exacts.
+    rows = [row for k, s in [(1, 1), (1, 2), (2, 2), (2, 3), (2, 4), (3, 4)]
+            for row in explore(k, s, range(s, 31))]
+    assert {row.method for row in rows} == {"", "oracle", "unique-family"}
+    assert any(row.exact is None for row in rows)
+    for order in (rows, rows[::-1]):
+        assert rows_to_csv(order) == reference_csv(order)

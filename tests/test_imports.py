@@ -26,8 +26,11 @@ print(" ".join(sorted(sys.modules)))
 NEVER_LOADED = {"vccover.verify", "concurrent.futures", "csv"}
 
 # `dataclasses` and what it imports; the records are named tuples instead.
-# `fractions` and `decimal`: the certificates compare ints.
-NEVER_AT_STARTUP = {"dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal"}
+# `fractions` and `decimal`: the certificates compare ints. `csv`: the
+# explore table is joined by `rows_to_csv` itself.
+NEVER_AT_STARTUP = {
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "csv"
+}
 
 COMMANDS = {
     "help": ["--help"],
