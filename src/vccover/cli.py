@@ -22,7 +22,6 @@ from .bitsets import elements_of
 from .families import (
     DEFAULT_CAP,
     DEFAULT_ENUM_CAP,
-    FamilyFormatError,
     FeasibilityError,
     Parameters,
     SetFamily,
@@ -295,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, FamilyFormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

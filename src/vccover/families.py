@@ -293,9 +293,10 @@ def read_family_json(text: str) -> SetFamily:
     """Parse the JSON mirror, enforcing the same ordering rules as the text form."""
     import json
 
+    # json.loads raises RecursionError on arrays nested about 1,000 deep.
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FamilyFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or set(obj) != {"n", "members"}:
         raise FamilyFormatError("JSON family must be an object with keys 'n' and 'members'")

@@ -33,7 +33,7 @@ worker count.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import and_
 from typing import NamedTuple
 
@@ -203,25 +203,24 @@ def exists_covering_with_vc_at_most(
     return found
 
 
-@lru_cache(maxsize=65536)
-def _cached_vc(n: int, members: tuple[int, ...]) -> int:
-    from .vc import vc_dimension
-
-    return vc_dimension(SetFamily(n, members)).dimension
-
-
 def _oracle_enumerate(search: _Search) -> tuple[int, SetFamily, int]:
     """Minimum over all covering subfamilies by full power-set enumeration.
 
-    Reads the universe and coverage table of `search`. Returns the minimum,
-    its first witness and the count of subfamilies examined.
+    Walks every nonempty subfamily of the universe of `search`, in selector
+    order, keeps the covering ones by its coverage table, and asks
+    `vc_dimension` for each one's VC-dimension. Nothing is cached: the
+    subfamilies of one universe are all distinct. Returns the minimum, its
+    first witness and the count of subfamilies examined, all
+    2^|universe| - 1 of them. The walk never stops early: a covering family
+    of VC-dimension 0 has one member, [n], so it occurs only when s = n and
+    the universe is that one member.
     """
+    # Imported here, so the branch-and-bound route never loads vccover.vc.
+    from .vc import vc_dimension
+
     universe, coverage_of = search.universe, search.coverage_of
-    best_value: int | None = None
-    best_members: tuple[int, ...] | None = None
-    examined = 0
+    best: tuple[int, SetFamily] | None = None
     for selector in range(1, 1 << len(universe)):
-        examined += 1
         covered = 0
         sel = selector
         while sel:
@@ -230,14 +229,12 @@ def _oracle_enumerate(search: _Search) -> tuple[int, SetFamily, int]:
             sel ^= low
         if covered != search.all_covered:
             continue
-        members = tuple(member for j, member in enumerate(universe) if selector >> j & 1)
-        value = _cached_vc(search.n, members)
-        if best_value is None or value < best_value:
-            best_value, best_members = value, members
-            if value == 0:
-                break
-    assert best_value is not None and best_members is not None
-    return best_value, SetFamily(search.n, best_members), examined
+        family = SetFamily(search.n, [m for j, m in enumerate(universe) if selector >> j & 1])
+        value = vc_dimension(family).dimension
+        if best is None or value < best[0]:
+            best = value, family
+    assert best is not None
+    return best[0], best[1], (1 << len(universe)) - 1
 
 
 def oracle_D(

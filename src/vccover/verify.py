@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bitsets import MAX_GROUND, mask_of
+from .bitsets import MAX_GROUND, check_ground, mask_of
 from .covering import first_faceless, is_k_covering
 from .constructions import covering_witness_family, recursive_family
 from .families import DEFAULT_CAP, Parameters, SetFamily, write_family
@@ -196,11 +196,7 @@ def verify_prop_const(m: int, k: int) -> PropConstReport:
     violator = first_faceless(fam)
     interpolation_violation = _interpolation_violation(fam.members)
     tail_checked = 2 * k < n
-    if tail_checked:
-        window = mask_of(range(n - k + 1, n + 1))
-        tail_shattered = shatters(fam, window)
-    else:
-        tail_shattered = True
+    tail_shattered = not tail_checked or shatters(fam, mask_of(range(n - k + 1, n + 1)))
     return PropConstReport(
         m=m,
         k=k,
@@ -264,25 +260,19 @@ def _explore_one(params: Parameters, cap: int) -> ExplorationRow:
     from .oracle import oracle_D
 
     k, s, n = params
-    lower = 0
-    if s < n:
-        # Any covering family with s < n needs two distinct members, which
-        # already shatter a singleton.
-        lower = 1
-    if lower_bound_certificate(k, s, n).holds:
-        lower = max(lower, k)
-    witness_vc = vc_dimension(covering_witness_family(k, s, n)).dimension
-    upper = min(s, n - s, witness_vc)
-    exact: int | None = None
-    method = ""
+    # Without the certificate: any covering family with s < n needs two
+    # distinct members, which already shatter a singleton.
+    lower = k if lower_bound_certificate(k, s, n).holds else int(s < n)
+    # The witness is s-uniform, so this is at most min(s, n - s).
+    upper = vc_dimension(covering_witness_family(k, s, n)).dimension
     if math.comb(n, s) <= cap:
-        exact = oracle_D(params, cap=cap).value
-        method = "oracle"
+        exact, method = oracle_D(params, cap=cap).value, "oracle"
     elif s == k or s == n:
         # The covering family is forced (the full family for s = k, the
         # whole ground set for s = n) and is the witness, so its VC-dimension is exact.
-        exact = witness_vc
-        method = "unique-family"
+        exact, method = upper, "unique-family"
+    else:
+        exact, method = None, ""
     return ExplorationRow(k=k, s=s, n=n, lower=lower, upper=upper, exact=exact, method=method)
 
 
@@ -295,15 +285,25 @@ def explore(
 ) -> list[ExplorationRow]:
     """Bracket the minimum VC-dimension over a range of ground sizes.
 
-    All (k, s, n) are checked before any row runs; rows run in turn, sorted
-    by n. ``workers`` is ignored; it stays only because the benchmark's
-    traced run (``bench/tracing.py``) passes it.
+    All (k, s, n) are checked before any row runs; rows run in turn, for
+    each n >= s of the range in ascending order. The rows and the smallest
+    n above the maximum ground size are found from the range's ends, so a
+    range of any length is refused at once when it reaches past 256.
+    ``workers`` is ignored; it stays only because the benchmark's traced
+    run (``bench/tracing.py``) passes it.
     """
     # Checked apart from n, so a bad pair is refused even when no n in the range reaches s.
     if not (1 <= k <= s <= MAX_GROUND):
         raise ValueError(f"need 1 <= k <= s <= {MAX_GROUND}, got k={k} s={s}")
-    triples = [Parameters(k, s, n) for n in sorted(v for v in n_range if v >= s)]
-    return [_explore_one(params, cap) for params in triples]
+    ascending = n_range if n_range.step > 0 else n_range[::-1]
+
+    def at_least(bound: int) -> range:
+        return ascending[max(0, -(-(bound - ascending.start) // ascending.step)):]
+
+    oversized = at_least(MAX_GROUND + 1)
+    if oversized:
+        check_ground(oversized[0])
+    return [_explore_one(Parameters(k, s, n), cap) for n in at_least(s)]
 
 
 def stab_upper(rows: list[ExplorationRow]) -> int | None:

@@ -249,6 +249,13 @@ class TestUsageErrors:
         path.write_text("vcfam 1\nn=4 s=2\n2 1\n")
         assert run_cli("vcdim", "--family", str(path)).returncode == 2
 
+    def test_json_family_nested_too_deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 4, "members": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        proc = run_cli("vcdim", "--family", str(path))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "invalid JSON" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_missing_file(self):
         assert run_cli("vcdim", "--family", "/nonexistent/f.vcfam").returncode == 2
 

@@ -51,7 +51,7 @@ from vccover.cli import main
 from vccover.covering import first_faceless
 from vccover.constructions import covering_witness_family, full_family
 from vccover.families import SetFamily, incidence_columns, write_family_json
-from vccover.oracle import _pattern_words, _Search
+from vccover.oracle import _pattern_words, _Search, oracle_D
 from vccover.vc import _shattered_walk, shatters
 from vccover.verify import ExplorationRow, _interpolation_violation, explore, rows_to_csv
 
@@ -476,6 +476,39 @@ def test_packed_shattering_test_matches_vc_dimension():
                 assert shattered == (vc_dimension(family).dimension > d), (k, s, n, d, family.members)
                 outcomes.add(shattered)
     assert outcomes == {False, True}
+
+
+def reference_enumeration(k, s, n):
+    """The power-set minimum from the definitions, as (value, witness, examined).
+
+    Every nonempty subfamily of the s-sets is a selector over them, in
+    integer order; a subfamily covers when each k-set lies in a member, and
+    its VC-dimension is the plain probe scan. The witness is the first
+    covering selector whose VC is the minimum, and the count examined is
+    every selector.
+    """
+    universe = list(iter_fixed_size_masks(n, s))
+    k_sets = list(iter_fixed_size_masks(n, k))
+    scored = []
+    for selector in range(1, 1 << len(universe)):
+        members = [m for j, m in enumerate(universe) if selector >> j & 1]
+        if all(any(a & m == a for m in members) for a in k_sets):
+            scored.append((reference_vc(SetFamily(n, members)).dimension, selector, members))
+    value, _, members = min(scored)
+    return value, SetFamily(n, members), (1 << len(universe)) - 1
+
+
+def test_power_set_route_matches_reference():
+    cases = 0
+    for n in range(1, 11):
+        for s in range(1, n + 1):
+            if math.comb(n, s) <= 10:
+                for k in range(1, s + 1):
+                    result = oracle_D(Parameters(k, s, n), method="exhaustive")
+                    got = (result.value, result.witness, result.nodes_explored)
+                    assert got == reference_enumeration(k, s, n), (k, s, n)
+                    cases += 1
+    assert cases == 115
 
 
 def reference_csv(rows) -> str:

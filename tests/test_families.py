@@ -257,6 +257,11 @@ class TestFileFormat:
             with pytest.raises(FamilyFormatError):
                 read_family_json('{"n": 3, "members": %s}' % members)
 
+    def test_json_nested_too_deep_is_a_format_error(self):
+        depth = 100_000
+        with pytest.raises(FamilyFormatError, match="invalid JSON"):
+            read_family_json('{"n": 4, "members": ' + "[" * depth + "]" * depth + "}")
+
     def test_json_and_text_share_member_checks(self):
         cases = [
             ("2 1", [2, 1], "unsorted"),

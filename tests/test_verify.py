@@ -245,11 +245,19 @@ class TestExplore:
         assert a == b
 
     def test_out_of_range_n_refused_before_any_row(self):
-        # Rows 3..256 alone take over a minute.
+        # Rows 3..256 alone take over a minute, and walking or sorting 10^12
+        # values would take hours and run out of memory.
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="ground size 257 exceeds maximum 256"):
-            explore(2, 3, range(3, 258))
+        for n_range in (range(3, 258), range(3, 10**12), range(10**12, 2, -1)):
+            with pytest.raises(ValueError, match="ground size 257 exceeds maximum 256"):
+                explore(2, 3, n_range)
         assert time.perf_counter() - start < 1.0
+
+    def test_rows_ascend_for_any_step(self):
+        ascending = explore(2, 3, range(3, 10, 2))
+        assert [row.n for row in ascending] == [3, 5, 7, 9]
+        assert explore(2, 3, range(9, 0, -2)) == ascending
+        assert [row.n for row in explore(2, 3, range(10, 0, -3))] == [4, 7, 10]
 
     @pytest.mark.parametrize("k", [0, 6])
     def test_bad_pair_refused_when_no_n_reaches_s(self, k):
