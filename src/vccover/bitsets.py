@@ -27,7 +27,12 @@ def mask_of(elements: Iterable[int]) -> int:
 
 
 def elements_of(mask: int) -> tuple[int, ...]:
-    """Return the 1-based elements of a mask in ascending order."""
+    """Return the 1-based elements of a mask in ascending order.
+
+    A negative mask has infinitely many set bits, so it is refused.
+    """
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     out = []
     while mask:
         low = mask & -mask

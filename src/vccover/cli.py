@@ -49,6 +49,18 @@ _CONSTRUCT = {
     "product": ("product", "--family", "-l"),
 }
 
+_INT = {"type": int, "required": True}
+# Each option's argparse keywords, keyed by its flag. -n has two specs:
+# explore's "-n range" takes a string range, every other -n a required int.
+_OPTIONS = {
+    "-k": _INT, "-s": _INT, "-n": _INT, "-m": _INT, "-l": _INT,
+    "-n range": {"required": True, "help": "ground size or inclusive range LO:HI"},
+    "--family": {"required": True},
+    "--fallback-enum": {"action": "store_true",
+                        "help": "use the power-set enumeration oracle instead of branch-and-bound"},
+    "--witness-out": {"help": "also write the upper-bound witness family here"},
+}
+
 
 def _positive_int(text: str) -> int:
     try:
@@ -69,77 +81,6 @@ def _load_family(path: str) -> SetFamily:
     if text.lstrip().startswith("{"):
         return read_family_json(text)
     return read_family(text)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the data stream to this file instead of stdout")
-    common.add_argument("--format", default="text", choices=("text", "json", "csv"))
-    common.add_argument("--cap", type=_positive_int,
-                        help="feasibility cap on the universe size C(n,s) for oracle search "
-                             f"(default {DEFAULT_CAP}; {DEFAULT_ENUM_CAP} with --fallback-enum)")
-    common.add_argument("--workers", type=_positive_int, default=1,
-                        help="accepted for compatibility and ignored: every command runs "
-                             "sequentially, so results are identical for any count")
-
-    parser = argparse.ArgumentParser(
-        prog="vccover",
-        description="Exact VC-dimension engine for covering set families.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    construct = sub.add_parser("construct", help="build a family and emit it canonically")
-    construct.set_defaults(run=_run_construct)
-    csub = construct.add_subparsers(dest="what", required=True)
-    for what, (_, *options) in _CONSTRUCT.items():
-        p = csub.add_parser(what, parents=[common])
-        for option in options:
-            p.add_argument(option, type=str if option == "--family" else int, required=True)
-
-    check = sub.add_parser("check", help="decide a property, print PASS/FAIL plus witnesses")
-    check.set_defaults(run=_run_check)
-    ksub = check.add_subparsers(dest="what", required=True)
-    p = ksub.add_parser("covering", parents=[common])
-    p.add_argument("--family", required=True)
-    p.add_argument("-k", type=int, required=True)
-    p = ksub.add_parser("ufp", parents=[common])
-    p.add_argument("--family", required=True)
-
-    p = sub.add_parser("vcdim", parents=[common], help="exact VC-dimension of a family file")
-    p.set_defaults(run=_run_vcdim)
-    p.add_argument("--family", required=True)
-
-    p = sub.add_parser("oracle", parents=[common],
-                       help="exact minimum VC-dimension over covering families")
-    p.set_defaults(run=_run_oracle)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-s", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--fallback-enum", action="store_true",
-                   help="use the power-set enumeration oracle instead of branch-and-bound")
-
-    verify = sub.add_parser("verify", help="run a verification and exit 0 on PASS")
-    verify.set_defaults(run=_run_verify)
-    vsub = verify.add_subparsers(dest="what", required=True)
-    p = vsub.add_parser("prop-const", parents=[common])
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p = vsub.add_parser("certificate", parents=[common])
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-s", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--witness-out", help="also write the upper-bound witness family here")
-    p = vsub.add_parser("main", parents=[common])
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-s", type=int, required=True)
-
-    p = sub.add_parser("explore", parents=[common],
-                       help="emit an exploration table over a range of ground sizes")
-    p.set_defaults(run=_run_explore)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-s", type=int, required=True)
-    p.add_argument("-n", required=True, help="ground size or inclusive range LO:HI")
-    return parser
 
 
 def _parse_n_range(text: str) -> range:
@@ -261,8 +202,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
 def _run_explore(args: argparse.Namespace) -> tuple[int, str]:
     from .verify import explore, monotonicity_scan, rows_to_csv, stab_upper, surjectivity_scan
 
-    cap = DEFAULT_CAP if args.cap is None else args.cap
-    rows = explore(args.k, args.s, _parse_n_range(args.n), cap=cap)
+    rows = explore(args.k, args.s, _parse_n_range(args.n), cap=args.cap)
     hint = stab_upper(rows)
     drops = monotonicity_scan(rows)
     attained = sorted(surjectivity_scan(rows))
@@ -279,6 +219,56 @@ def _run_explore(args: argparse.Namespace) -> tuple[int, str]:
         print(f"non-monotone pairs: {drops}", file=sys.stderr)
     print(f"attained values: {attained}", file=sys.stderr)
     return EXIT_OK, rows_to_csv(rows)
+
+
+# Each command: its help, its handler, and its options in order; a group
+# (construct, check, verify) maps each of its leaves to the leaf's options.
+_COMMANDS = {
+    "construct": ("build a family and emit it canonically", _run_construct,
+                  {what: options for what, (_, *options) in _CONSTRUCT.items()}),
+    "check": ("decide a property, print PASS/FAIL plus witnesses", _run_check,
+              {"covering": ("--family", "-k"), "ufp": ("--family",)}),
+    "vcdim": ("exact VC-dimension of a family file", _run_vcdim, ("--family",)),
+    "oracle": ("exact minimum VC-dimension over covering families", _run_oracle,
+               ("-k", "-s", "-n", "--fallback-enum")),
+    "verify": ("run a verification and exit 0 on PASS", _run_verify,
+               {"prop-const": ("-m", "-k"), "certificate": ("-k", "-s", "-n", "--witness-out"),
+                "main": ("-k", "-s")}),
+    "explore": ("emit an exploration table over a range of ground sizes", _run_explore,
+                ("-k", "-s", "-n range")),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", help="write the data stream to this file instead of stdout")
+    common.add_argument("--format", default="text", choices=("text", "json", "csv"))
+    common.add_argument("--cap", type=_positive_int,
+                        help="feasibility cap on the universe size C(n,s) for oracle search "
+                             f"(default {DEFAULT_CAP}; {DEFAULT_ENUM_CAP} with --fallback-enum)")
+    common.add_argument("--workers", type=_positive_int, default=1,
+                        help="accepted for compatibility and ignored: every command runs "
+                             "sequentially, so results are identical for any count")
+
+    parser = argparse.ArgumentParser(
+        prog="vccover",
+        description="Exact VC-dimension engine for covering set families.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, run, options) in _COMMANDS.items():
+        grouped = isinstance(options, dict)
+        p = sub.add_parser(command, parents=[] if grouped else [common], help=help_text)
+        p.set_defaults(run=run)
+        if grouped:
+            leaves = p.add_subparsers(dest="what", required=True)
+            targets = [(leaves.add_parser(what, parents=[common]), opts)
+                       for what, opts in options.items()]
+        else:
+            targets = [(p, options)]
+        for target, opts in targets:
+            for option in opts:
+                target.add_argument(option.split()[0], **_OPTIONS[option])
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 from .bitsets import MAX_GROUND, check_ground, mask_of
 from .covering import first_faceless, is_k_covering
 from .constructions import covering_witness_family, recursive_family
-from .families import DEFAULT_CAP, Parameters, SetFamily, write_family
+from .families import FeasibilityError, Parameters, SetFamily, write_family
 from .vc import sauer_shelah_sum, shatters, vc_dimension
 
 LOWER_KIND = "lower-vc-ge-k"
@@ -255,7 +255,7 @@ def verify_main_theorem(k: int, s: int) -> MainTheoremReport:
     )
 
 
-def _explore_one(params: Parameters, cap: int) -> ExplorationRow:
+def _explore_one(params: Parameters, cap: int | None) -> ExplorationRow:
     # Only exploration rows search, so the verify commands never load the oracle.
     from .oracle import oracle_D
 
@@ -265,14 +265,13 @@ def _explore_one(params: Parameters, cap: int) -> ExplorationRow:
     lower = k if lower_bound_certificate(k, s, n).holds else int(s < n)
     # The witness is s-uniform, so this is at most min(s, n - s).
     upper = vc_dimension(covering_witness_family(k, s, n)).dimension
-    if math.comb(n, s) <= cap:
+    try:
         exact, method = oracle_D(params, cap=cap).value, "oracle"
-    elif s == k or s == n:
-        # The covering family is forced (the full family for s = k, the
-        # whole ground set for s = n) and is the witness, so its VC-dimension is exact.
-        exact, method = upper, "unique-family"
-    else:
-        exact, method = None, ""
+    except FeasibilityError:
+        # Beyond the cap, the covering family is still known when it is forced
+        # (the full family for s = k, the whole ground set for s = n): it is
+        # the witness, so its VC-dimension is exact.
+        exact, method = (upper, "unique-family") if s == k or s == n else (None, "")
     return ExplorationRow(k=k, s=s, n=n, lower=lower, upper=upper, exact=exact, method=method)
 
 
@@ -280,7 +279,7 @@ def explore(
     k: int,
     s: int,
     n_range: range,
-    cap: int = DEFAULT_CAP,
+    cap: int | None = None,
     workers: int = 1,
 ) -> list[ExplorationRow]:
     """Bracket the minimum VC-dimension over a range of ground sizes.
@@ -289,6 +288,8 @@ def explore(
     each n >= s of the range in ascending order. The rows and the smallest
     n above the maximum ground size are found from the range's ends, so a
     range of any length is refused at once when it reaches past 256.
+    Each row asks `oracle_D` for the exact value under ``cap`` (None: the
+    oracle's default); a row beyond it reports a forced family or a blank.
     ``workers`` is ignored; it stays only because the benchmark's traced
     run (``bench/tracing.py``) passes it.
     """

@@ -16,7 +16,7 @@ from vccover import (
     recursive_family,
     write_family,
 )
-from vccover.cli import main
+from vccover.cli import _build_parser, main
 
 CLI = [sys.executable, "-m", "vccover"]
 
@@ -209,6 +209,16 @@ class TestExploreCli:
         for row in payload["rows"]:
             assert list(row) == ["k", "s", "n", "lower", "upper", "exact", "method"]
 
+    @pytest.mark.parametrize("cap, methods", [
+        ([], ["oracle", "oracle", "", ""]),
+        (["--cap", "19"], ["oracle", "", "", ""]),
+        (["--cap", "60"], ["oracle"] * 4),
+    ])
+    def test_cap_reaches_the_rows(self, cap, methods):
+        # C(n,3) for n = 5..8 is 10, 20, 35 and 56; the default cap is 24.
+        proc = run_cli("explore", "-k", "2", "-s", "3", "-n", "5:8", *cap)
+        assert proc.returncode == 0
+        assert [line.split(",")[6] for line in proc.stdout.splitlines()[1:]] == methods
 
     @pytest.mark.parametrize("k", ["0", "6"])
     def test_bad_pair_refused_when_no_n_reaches_s(self, k):
@@ -243,6 +253,26 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert f"argument {option}" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "covering", "--family", "f.vcfam", "-k", "2"],
+        ["check", "ufp", "--family", "f.vcfam"],
+        ["vcdim", "--family", "f.vcfam"],
+        ["oracle", "-k", "2", "-s", "3", "-n", "5"],
+        ["verify", "prop-const", "-m", "5", "-k", "2"],
+        ["verify", "certificate", "-k", "2", "-s", "3", "-n", "5"],
+        ["verify", "main", "-k", "2", "-s", "3"],
+        ["explore", "-k", "2", "-s", "3", "-n", "5:8"],
+    ])
+    def test_dropping_any_required_option_is_a_usage_error(self, argv):
+        # Each option lands in its own attribute, and none may be left out.
+        first = next(i for i, arg in enumerate(argv) if arg.startswith("-"))
+        args = _build_parser().parse_args(argv)
+        for i in range(first, len(argv), 2):
+            assert str(getattr(args, argv[i].lstrip("-"))) == argv[i + 1]
+            with pytest.raises(SystemExit) as exc:
+                main([*argv[:i], *argv[i + 2:]])
+            assert exc.value.code == 2, argv[i]
 
     def test_malformed_family_file(self, tmp_path):
         path = tmp_path / "bad.vcfam"

@@ -15,6 +15,7 @@ from vccover import (
     trace,
     vc_dimension,
 )
+from vccover.bitsets import elements_of, iter_submasks
 from conftest import random_family
 
 
@@ -43,8 +44,16 @@ class TestTrace:
         assert got == {0, mask_of({1}), mask_of({2}), mask_of({1, 2})}
 
     def test_probe_out_of_ground(self):
+        # A negative mask has infinitely many set bits: refused, not walked.
+        for probe in (mask_of({4}), -1):
+            with pytest.raises(ValueError):
+                trace(make_family(3, [{1}]), probe)
+
+    def test_negative_mask_refused_by_the_bitset_kernels(self):
         with pytest.raises(ValueError):
-            trace(make_family(3, [{1}]), mask_of({4}))
+            elements_of(-1)
+        with pytest.raises(ValueError):
+            next(iter_submasks(-1, 2))
 
     def test_trace_set_invariants(self, corpus):
         rng = random.Random(3111)
