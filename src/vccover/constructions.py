@@ -60,9 +60,13 @@ def initial_segment_family(n: int) -> SetFamily:
 
 
 def cone(f: SetFamily) -> SetFamily:
-    """Adjoin a fresh point n+1 to every member; shatters the same sets as f."""
+    """Adjoin a fresh point n+1 to every member; shatters the same sets as f.
+
+    The same new top bit on every member keeps their order, so the members
+    go to SetFamily as they come, with no sort or dedupe.
+    """
     top = 1 << f.n
-    return family_from_masks(f.n + 1, (m | top for m in f.members))
+    return SetFamily(f.n + 1, [m | top for m in f.members])
 
 
 def product(f: SetFamily, ell: int) -> SetFamily:

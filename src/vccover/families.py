@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from typing import Iterable, Iterator
 
 from .bitsets import (
@@ -266,15 +266,25 @@ def read_family(text: str) -> SetFamily:
 
     Rejects unsorted element lines, member lines out of mask order,
     duplicate members, and a parameter line other than the one
-    ``write_family`` writes for the members read.
+    ``write_family`` writes for the members read. A line goes through one
+    table from "1".."n" to bits, the writer's inverse; a line it refuses
+    ("-" too) goes to ``_line_elements`` and ``_append_member``.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     n = _header_n(lines)
+    bit_of = defaultdict(int, {str(i + 1): 1 << i for i in range(n)}).__getitem__
     masks: list[int] = []
+    prev = -1
     for line in lines[2:]:
-        _append_member(masks, _line_elements(line), n, line)
+        bits = list(map(bit_of, line.split(" ")))  # 0, no bit, for any other token
+        mask = sum(bits)
+        if mask.bit_count() == len(bits) and mask > prev and bits == sorted(bits):
+            masks.append(mask)
+        else:
+            _append_member(masks, _line_elements(line), n, line)
+        prev = masks[-1]
     f = SetFamily(n, tuple(masks))
     expected = _parameter_line(f)
     if lines[1] != expected:

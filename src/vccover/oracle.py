@@ -129,7 +129,7 @@ class _Search:
         bit_of = {a: 1 << i for i, a in enumerate(iter_fixed_size_masks(n, k))}
         self.all_covered = (1 << len(bit_of)) - 1
         self.coverage_of = [sum(bit_of[a] for a in iter_submasks(m, k)) for m in self.universe]
-        columns = incidence_columns(SetFamily(n, self.universe))
+        self.columns = columns = incidence_columns(SetFamily(n, self.universe))
         self.candidates_for = [reduce(and_, [columns[e - 1] for e in elements_of(a)])
                                for a in bit_of]
         self.nodes = 0
@@ -207,19 +207,24 @@ def _oracle_enumerate(search: _Search) -> tuple[int, SetFamily, int]:
     """Minimum over all covering subfamilies by full power-set enumeration.
 
     Walks every nonempty subfamily of the universe of `search`, in selector
-    order, keeps the covering ones by its coverage table, and asks
-    `vc_dimension` for each one's VC-dimension. Nothing is cached: the
-    subfamilies of one universe are all distinct. Returns the minimum, its
-    first witness and the count of subfamilies examined, all
+    order, keeps the covering ones by its coverage table, and runs the VC
+    walk of `vc_dimension` on each one as the selector's cell of the
+    universe's incidence table, so no subfamily gets a family or a table of
+    its own. Its active elements and cap come from the columns restricted
+    to the selector, as `vc_dimension` takes them from the subfamily's own
+    (every member has size s). Returns the minimum, the family of its first
+    selector, and the count of subfamilies examined, all
     2^|universe| - 1 of them. The walk never stops early: a covering family
     of VC-dimension 0 has one member, [n], so it occurs only when s = n and
     the universe is that one member.
     """
     # Imported here, so the branch-and-bound route never loads vccover.vc.
-    from .vc import vc_dimension
+    from .vc import _shattered_walk
 
-    universe, coverage_of = search.universe, search.coverage_of
-    best: tuple[int, SetFamily] | None = None
+    universe, coverage_of, columns = search.universe, search.coverage_of, search.columns
+    s = universe[0].bit_count()
+    bound = min(s, search.n - s)
+    best = best_selector = None
     for selector in range(1, 1 << len(universe)):
         covered = 0
         sel = selector
@@ -229,12 +234,17 @@ def _oracle_enumerate(search: _Search) -> tuple[int, SetFamily, int]:
             sel ^= low
         if covered != search.all_covered:
             continue
-        family = SetFamily(search.n, [m for j, m in enumerate(universe) if selector >> j & 1])
-        value = vc_dimension(family).dimension
-        if best is None or value < best[0]:
-            best = value, family
+        active = 0
+        for i, column in enumerate(columns):
+            if 0 < column & selector < selector:
+                active |= 1 << i
+        cap = min(bound, selector.bit_count().bit_length() - 1, active.bit_count())
+        value = len(_shattered_walk(universe, columns, active, cap, selector)) - 1
+        if best is None or value < best:
+            best, best_selector = value, selector
     assert best is not None
-    return best[0], best[1], (1 << len(universe)) - 1
+    witness = SetFamily(search.n, [m for j, m in enumerate(universe) if best_selector >> j & 1])
+    return best, witness, (1 << len(universe)) - 1
 
 
 def oracle_D(

@@ -26,7 +26,7 @@ of that cell are dropped, which keeps the colex order of the rest.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .bitsets import elements_of, is_within
 from .families import SetFamily, incidence_columns
@@ -73,7 +73,7 @@ def shatters(f: SetFamily, probe: int) -> bool:
 
 
 def _shattered_walk(
-    members: tuple[int, ...], columns: list[int], candidates: int, cap: int
+    members: Sequence[int], columns: list[int], candidates: int, cap: int, start: int | None = None
 ) -> list[int]:
     """``first[r]``: the colex-smallest shattered r-subset of the candidates.
 
@@ -95,6 +95,10 @@ def _shattered_walk(
     extension can hold and leaves the order of the rest alone. The union
     costs one OR per member of the cell, so it is taken only when the cell
     has fewer members than there are candidates left to narrow.
+
+    ``start`` is the walk's first cell, the member bits of the family it
+    walks: all of ``members`` by default. A subset of them walks that
+    subfamily on the same columns, as the power-set oracle does.
     """
     first = [0]
 
@@ -129,7 +133,7 @@ def _shattered_walk(
         return False
 
     if cap:
-        dfs([(1 << len(members)) - 1], candidates, 0, 1)
+        dfs([(1 << len(members)) - 1 if start is None else start], candidates, 0, 1)
     return first
 
 

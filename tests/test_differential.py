@@ -21,7 +21,12 @@ lowered top value. The oracle's packed kernel is held to the plain
 definitions too: its coverage and candidate tables to subset tests, each
 pattern word to the trace of its member on every probe, and the one-add
 shattering test to `vc_dimension` on random subfamilies. The explore CSV
-is held to `csv.writer`.
+is held to `csv.writer`. The text reader, which decodes member lines
+through a table of element spellings, is held to the per-line reader it
+replaced, an int() parse with a spelling round trip: on written and
+mutated files both return the same family or raise the same message. The
+face verdict, decided by co-singletons, is held to the face reference on
+families built to have faceless members.
 """
 
 import contextlib
@@ -50,7 +55,15 @@ from vccover.bitsets import elements_of, full_mask, iter_fixed_size_masks, iter_
 from vccover.cli import main
 from vccover.covering import first_faceless
 from vccover.constructions import covering_witness_family, full_family
-from vccover.families import SetFamily, incidence_columns, write_family_json
+from vccover.families import (
+    FamilyFormatError,
+    SetFamily,
+    _header_n,
+    _parameter_line,
+    incidence_columns,
+    read_family,
+    write_family_json,
+)
 from vccover.oracle import _pattern_words, _Search, oracle_D
 from vccover.vc import _shattered_walk, shatters
 from vccover.verify import ExplorationRow, _interpolation_violation, explore, rows_to_csv
@@ -190,6 +203,91 @@ def test_check_ufp_matches_reference_faces(f):
     assert text == json.dumps(unique_face(f).as_dict()) + "\n"
 
 
+@st.composite
+def uniform_families(draw):
+    n = draw(st.integers(min_value=2, max_value=9))
+    size = draw(st.integers(min_value=1, max_value=n))
+    members = draw(st.lists(st.sets(st.integers(min_value=1, max_value=n), min_size=size,
+                                    max_size=size), min_size=1, max_size=30))
+    return family_from_masks(n, [sum(1 << (e - 1) for e in member) for member in members])
+
+
+def co_singletons(member: int) -> list[int]:
+    return [member ^ 1 << (e - 1) for e in elements_of(member)]
+
+
+@st.composite
+def face_families(draw):
+    """Families built to have faceless members, or a member that cannot have a face.
+
+    A random family, or a uniform one, whose members can all have faces,
+    then by mode. "co-singletons" adds every co-singleton of a few chosen
+    members, so each of them shares all its co-singletons with another
+    member and has no face. "closed" adds the subsets of the chosen members
+    down to three elements fewer: closed under co-singletons above its
+    bottom level, so only bottom subsets can have faces. "larger-holder"
+    adds, for each chosen member S and each co-singleton but perhaps one, a
+    member larger than S where [n] has room, holding that co-singleton, so
+    S has no face when none is spared. "one-member" is a single member and
+    "empty-member" adds the empty member, which never has a face.
+    """
+    f = draw(st.one_of(families(), uniform_families()))
+    masks = set(f.members)
+    mode = draw(st.sampled_from(["co-singletons", "closed", "larger-holder", "one-member",
+                                 "empty-member"]))
+    if mode == "one-member":
+        return SetFamily(f.n, [draw(st.integers(min_value=0, max_value=full_mask(f.n)))])
+    if mode == "empty-member":
+        return family_from_masks(f.n, masks | {0})
+    pool = st.sampled_from(sorted(masks)) if masks else st.integers(min_value=0, max_value=full_mask(f.n))
+    chosen = draw(st.lists(pool, min_size=1, max_size=4))
+    masks.update(chosen)
+    for member in chosen:
+        if mode == "co-singletons":
+            masks.update(co_singletons(member))
+        elif mode == "closed":
+            size = member.bit_count()
+            masks.update(sub for r in range(max(size - 3, 0), size) for sub in iter_submasks(member, r))
+        else:
+            # A holder for every co-singleton but perhaps one: with none spared, S has no face.
+            spared = draw(st.sampled_from([None, *co_singletons(member)]))
+            for holder in co_singletons(member):
+                if holder != spared:
+                    outside = full_mask(f.n) & ~member
+                    for _ in range(2):  # two elements outside S where there are two
+                        holder |= outside & -outside
+                        outside &= outside - 1
+                    masks.add(holder | draw(st.integers(min_value=0, max_value=outside)) & outside)
+    return family_from_masks(f.n, masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(face_families())
+@example(SetFamily(3, [0]))
+@example(SetFamily(3, [0b101]))
+@example(SetFamily(1, [0, 1]))
+@example(family_from_masks(4, [0b11, 0b1110]))
+@example(family_from_masks(5, [0b11, 0b101, 0b1100, 0b11100]))
+def test_face_verdict_by_co_singletons_matches_reference(f):
+    faces = reference_faces(f)
+    assert first_faceless(f) == faces.violator
+    assert unique_face(f) == faces
+
+
+def test_face_verdicts_on_small_families():
+    # {1} is faceless, as its one co-singleton, the empty set, lies in every
+    # member; so is {1, 2}, whose co-singletons are members.
+    assert first_faceless(family_from_masks(3, [0b1, 0b10, 0b11, 0b100])) == 0b1
+    # {2, 3, 4} holds the co-singleton {2} of {1, 2}; the other one, {1}, is a face.
+    assert unique_face(family_from_masks(4, [0b11, 0b1110])).faces[0b11] == 0b1
+    # {1, 3, 4} takes {1} too, so {1, 2} has no face.
+    assert first_faceless(family_from_masks(4, [0b11, 0b1101, 0b1110])) == 0b11
+    # A lone nonempty member has the empty set as its face; the empty member has none.
+    assert unique_face(SetFamily(2, [0b11])).faces == {0b11: 0}
+    assert first_faceless(SetFamily(2, [0])) == 0
+    assert first_faceless(SetFamily(2, [0, 0b11])) == 0
+
+
 def reference_lowering_gaps(members) -> list[tuple[int, int]]:
     """Every (member, t_hat) whose member with its top lowered to t_hat is missing.
 
@@ -268,6 +366,127 @@ def test_incidence_columns_across_chunk_boundaries():
     for members in ((), (0,), (1,), (0, 1)):
         f = SetFamily(1, members)
         assert incidence_columns(f) == reference_columns(f), members
+
+
+def reference_append_member(masks, elements, n, raw) -> None:
+    """The per-line reader's member check: range, ascending order, then mask order."""
+    mask = prev = 0
+    for e in elements:
+        if not (1 <= e <= n):
+            raise FamilyFormatError(f"element {e} out of range [1, {n}]")
+        if e <= prev:
+            raise FamilyFormatError(f"unsorted member: {raw!r}")
+        prev = e
+        mask |= 1 << (e - 1)
+    if masks and mask <= masks[-1]:
+        if mask == masks[-1]:
+            raise FamilyFormatError(f"duplicate member: {raw!r}")
+        raise FamilyFormatError(f"members out of canonical order at {raw!r}")
+    masks.append(mask)
+
+
+def reference_read_family(text: str) -> SetFamily:
+    """The text reader by one int() parse per token and a spelling round trip per line."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    n = _header_n(lines)
+    masks: list[int] = []
+    for line in lines[2:]:
+        if line == "-":
+            elements = []
+        else:
+            try:
+                elements = [int(token) for token in line.split(" ")]
+            except ValueError:
+                raise FamilyFormatError(f"bad element in line {line!r}") from None
+            if " ".join(map(str, elements)) != line:
+                raise FamilyFormatError(f"non-canonical member line {line!r}")
+        reference_append_member(masks, elements, n, line)
+    f = SetFamily(n, tuple(masks))
+    expected = _parameter_line(f)
+    if lines[1] != expected:
+        actual = "no uniform size" if f.uniform_size is None else f"uniform size {f.uniform_size}"
+        raise FamilyFormatError(f"malformed header {lines[1]!r}: the members need {expected!r} ({actual})")
+    return f
+
+
+def mutated_line(kind: str, line: str, n: int) -> str:
+    """One member line spelled the way the writer never writes it, or out of place."""
+    first, _, rest = line.partition(" ")
+    return {
+        "leading-zero": "0" + line,
+        "plus": "+" + line,
+        "leading-space": " " + line,
+        "double-space": first + "  " + rest if rest else "1  2",
+        "arabic-indic": line.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                                   "\u0665\u0666\u0667\u0668\u0669")),
+        "zero": "0",
+        "beyond-n": str(n + 1) if line == "-" else line + " " + str(n + 1),
+        "descending": " ".join(reversed(line.split(" "))) if rest else "2 1",
+        "repeated": first + " " + line,
+        "dash-element": "- " + line,
+        "dash": "-",
+        "trailing-space": line + " ",
+        "blank": "",
+    }[kind]
+
+
+LINE_MUTATIONS = ["leading-zero", "plus", "leading-space", "double-space", "arabic-indic", "zero",
+                  "beyond-n", "descending", "repeated", "dash-element", "dash", "trailing-space",
+                  "blank"]
+MUTATIONS = LINE_MUTATIONS + ["duplicate", "swap", "dash-below"]
+
+
+@st.composite
+def family_texts(draw):
+    """A written family, with up to three member lines mutated, duplicated, swapped or added."""
+    f = draw(families())
+    lines = write_family(f).split("\n")[:-1]
+    n = f.n
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(MUTATIONS))
+        members = len(lines) - 2
+        if kind == "dash-below" or not members:
+            lines.insert(draw(st.integers(min_value=2 + min(members, 1), max_value=len(lines))), "-")
+            continue
+        i = draw(st.integers(min_value=2, max_value=len(lines) - 1))
+        if kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(min_value=2, max_value=len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = mutated_line(kind, lines[i], n)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def read_outcome(reader, text):
+    try:
+        return reader(text)
+    except FamilyFormatError as error:
+        return str(error)
+
+
+@settings(max_examples=500, deadline=None)
+@given(family_texts())
+@example("vcfam 1\nn=3 s=1\n1\n-\n")
+@example("vcfam 1\nn=3 s=mixed\n-\n1\n1 2\n")
+@example("vcfam 1\nn=12 s=2\n1 \u0661\u0662\n")
+@example("vcfam 1\nn=3 s=2\n1 3\n1 3\n")
+def test_table_reader_matches_per_line_reader(text):
+    assert read_outcome(read_family, text) == read_outcome(reference_read_family, text)
+
+
+def test_table_reader_mutations_are_refused():
+    # Every line mutation of "1 2" in a two-member family is refused by both
+    # readers with the same message.
+    text = write_family(family_from_masks(3, [0b11, 0b110]))
+    for kind in LINE_MUTATIONS:
+        mutated = text.replace("\n1 2\n", "\n" + mutated_line(kind, "1 2", 3) + "\n")
+        outcome = read_outcome(read_family, mutated)
+        assert isinstance(outcome, str), kind
+        assert outcome == read_outcome(reference_read_family, mutated), kind
 
 
 def reference_json(f) -> str:
