@@ -7,9 +7,11 @@ time go to stderr, so the data stream is byte-reproducible across runs and
 worker counts. Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage
 error, 3 feasibility-cap error.
 
-Start-up is most of the cost of a short command, so each handler imports
-the library modules it calls (json only on JSON paths), and the records are
-named tuples or slotted classes, whose import pulls in no inspect or ast.
+Start-up is most of the cost of a short command, so the parser holds only
+the command being run: every other command keeps its help line but gets no
+leaves or options. Each handler imports the library modules it calls (json
+only on JSON paths), and the records are named tuples or slotted classes,
+whose import pulls in no inspect or ast.
 """
 
 from __future__ import annotations
@@ -49,12 +51,22 @@ _CONSTRUCT = {
     "product": ("product", "--family", "-l"),
 }
 
+
+def _n_range(text: str) -> range:
+    try:
+        lo, hi = map(int, text.split(":")) if ":" in text else (int(text),) * 2
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N or LO:HI, got {text!r}") from None
+    return range(lo, hi + 1)
+
+
 _INT = {"type": int, "required": True}
 # Each option's argparse keywords, keyed by its flag. -n has two specs:
-# explore's "-n range" takes a string range, every other -n a required int.
+# explore's "-n range" takes a range N or LO:HI, every other -n a required int.
 _OPTIONS = {
     "-k": _INT, "-s": _INT, "-n": _INT, "-m": _INT, "-l": _INT,
-    "-n range": {"required": True, "help": "ground size or inclusive range LO:HI"},
+    "-n range": {"type": _n_range, "required": True,
+                 "help": "ground size or inclusive range LO:HI"},
     "--family": {"required": True},
     "--fallback-enum": {"action": "store_true",
                         "help": "use the power-set enumeration oracle instead of branch-and-bound"},
@@ -81,14 +93,6 @@ def _load_family(path: str) -> SetFamily:
     if text.lstrip().startswith("{"):
         return read_family_json(text)
     return read_family(text)
-
-
-def _parse_n_range(text: str) -> range:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
 
 
 def _json_line(payload: object) -> str:
@@ -202,7 +206,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
 def _run_explore(args: argparse.Namespace) -> tuple[int, str]:
     from .verify import explore, monotonicity_scan, rows_to_csv, stab_upper, surjectivity_scan
 
-    rows = explore(args.k, args.s, _parse_n_range(args.n), cap=args.cap)
+    rows = explore(args.k, args.s, args.n, cap=args.cap)
     hint = stab_upper(rows)
     drops = monotonicity_scan(rows)
     attained = sorted(surjectivity_scan(rows))
@@ -239,7 +243,8 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common_parser() -> argparse.ArgumentParser:
+    """The options every command and leaf takes, as an argparse parent."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the data stream to this file instead of stdout")
     common.add_argument("--format", default="text", choices=("text", "json", "csv"))
@@ -249,13 +254,24 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workers", type=_positive_int, default=1,
                         help="accepted for compatibility and ignored: every command runs "
                              "sequentially, so results are identical for any count")
+    return common
 
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    # Only the command that argv names (its first token that is one) gets its
+    # leaves and options; every other keeps its help line, so the top-level
+    # help and usage errors read the same as with every command built.
     parser = argparse.ArgumentParser(
         prog="vccover",
         description="Exact VC-dimension engine for covering set families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = next((arg for arg in argv if arg in _COMMANDS), None)
     for command, (help_text, run, options) in _COMMANDS.items():
+        if command != named:
+            sub.add_parser(command, help=help_text, add_help=False)
+            continue
+        common = _common_parser()
         grouped = isinstance(options, dict)
         p = sub.add_parser(command, parents=[] if grouped else [common], help=help_text)
         p.set_defaults(run=run)
@@ -272,7 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         code, data = args.run(args)
         if args.out:

@@ -3,6 +3,10 @@
 Certificates never touch floating point: every inequality is evaluated
 over integers, so a holding certificate is a proof at the stated
 parameters, not an estimate.
+
+The covering checks and the oracle are imported by the functions that call
+them, so `explore` never loads the covering checks and the verify commands
+never load the oracle.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import math
 from typing import NamedTuple
 
 from .bitsets import MAX_GROUND, check_ground, mask_of
-from .covering import first_faceless, is_k_covering
 from .constructions import covering_witness_family, recursive_family
 from .families import FeasibilityError, Parameters, SetFamily, write_family
 from .vc import sauer_shelah_sum, shatters, vc_dimension
@@ -98,11 +101,15 @@ def lower_bound_certificate(k: int, s: int, n: int) -> Certificate:
 
 def family_certifies_upper(f: SetFamily, k: int) -> bool:
     """Re-verify an upper-bound witness: k-covering and VC-dimension <= k."""
+    from .covering import is_k_covering
+
     return is_k_covering(f, k).holds and vc_dimension(f).dimension <= k
 
 
 def upper_bound_certificate(k: int, s: int, n: int, witness_path: str | None = None) -> Certificate:
     """Build the witness family and certify D(k,s,n) <= k by direct verification."""
+    from .covering import is_k_covering
+
     witness = covering_witness_family(k, s, n)
     dim = vc_dimension(witness).dimension
     holds = is_k_covering(witness, k).holds and dim <= k
@@ -188,6 +195,8 @@ def verify_prop_const(m: int, k: int) -> PropConstReport:
     (checked only when 2k < n, vacuous otherwise). Property 3 is checked
     one lowering step per member (see `_interpolation_violation`).
     """
+    from .covering import first_faceless, is_k_covering
+
     n = m + k - 1
     if n > 16:
         raise ValueError(f"ground size {n} beyond the exhaustive-check range (16)")
@@ -245,6 +254,8 @@ def stabilized_ground_size(k: int, s: int) -> int:
 
 def verify_main_theorem(k: int, s: int) -> MainTheoremReport:
     """At n = k^2*C(s,k)+k: certificate forces >= k, explicit witness achieves exactly k."""
+    from .covering import is_k_covering
+
     n = Parameters(k, s, stabilized_ground_size(k, s)).n
     cert = lower_bound_certificate(k, s, n)
     witness = covering_witness_family(k, s, n)

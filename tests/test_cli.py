@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from vccover import (
     recursive_family,
     write_family,
 )
-from vccover.cli import _build_parser, main
+from vccover.cli import _COMMANDS, _OPTIONS, _build_parser, _common_parser, main
 
 CLI = [sys.executable, "-m", "vccover"]
 
@@ -267,12 +268,24 @@ class TestUsageErrors:
     def test_dropping_any_required_option_is_a_usage_error(self, argv):
         # Each option lands in its own attribute, and none may be left out.
         first = next(i for i, arg in enumerate(argv) if arg.startswith("-"))
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         for i in range(first, len(argv), 2):
-            assert str(getattr(args, argv[i].lstrip("-"))) == argv[i + 1]
+            value = getattr(args, argv[i].lstrip("-"))
+            if isinstance(value, range):  # explore's -n LO:HI
+                value = f"{value[0]}:{value[-1]}"
+            assert str(value) == argv[i + 1]
             with pytest.raises(SystemExit) as exc:
                 main([*argv[:i], *argv[i + 2:]])
             assert exc.value.code == 2, argv[i]
+
+    @pytest.mark.parametrize("spelling", ["5:", ":5", "a", "5:6:7"])
+    def test_malformed_explore_range_names_its_option(self, spelling, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "-k", "2", "-s", "3", "-n", spelling])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert f"argument -n: expected N or LO:HI, got {spelling!r}" in err
+        assert "int()" not in err
 
     def test_malformed_family_file(self, tmp_path):
         path = tmp_path / "bad.vcfam"
@@ -299,6 +312,116 @@ class TestUsageErrors:
         )
         assert proc.returncode == 0 and proc.stdout == "2\n"
         assert "ResourceWarning" not in proc.stderr
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """Every command built with all its leaves and options: the slow
+    reference for `_build_parser`, which builds only the command it is given."""
+    common = _common_parser()
+    parser = argparse.ArgumentParser(
+        prog="vccover",
+        description="Exact VC-dimension engine for covering set families.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, run, options) in _COMMANDS.items():
+        grouped = isinstance(options, dict)
+        p = sub.add_parser(command, parents=[] if grouped else [common], help=help_text)
+        p.set_defaults(run=run)
+        if grouped:
+            leaves = p.add_subparsers(dest="what", required=True)
+            targets = [(leaves.add_parser(what, parents=[common]), opts)
+                       for what, opts in options.items()]
+        else:
+            targets = [(p, options)]
+        for target, opts in targets:
+            for option in opts:
+                target.add_argument(option.split()[0], **_OPTIONS[option])
+    return parser
+
+
+# The top level, each command, and each leaf of a grouped command.
+HELP_LEVELS = [[]] + [
+    [command, *leaf]
+    for command, (_, _, options) in _COMMANDS.items()
+    for leaf in [[]] + [[what] for what in options if isinstance(options, dict)]
+]
+
+USAGE_ERRORS = [
+    [],
+    ["bogus"],
+    ["verify"],
+    ["verify", "bogus"],
+    ["oracle", "-k", "2"],
+    ["--x", "oracle", "-k", "2", "-s", "3", "-n", "5"],
+    ["bogus", "oracle", "-k", "2", "-s", "3", "-n", "5"],
+    ["verify", "oracle", "-k", "2", "-s", "3"],
+    ["construct", "fk", "-m", "5", "-k", "two"],
+    ["check", "covering", "--family", "f.vcfam", "-k", "2", "--format", "xml"],
+    ["explore", "-k", "2", "-s", "3", "-n", "5:"],
+    ["vcdim", "--family", "f.vcfam", "--workers", "0", "explore"],
+]
+
+VALID = [
+    ["construct", "product", "--family", "oracle", "-l", "2", "--out", "o.vcfam"],
+    ["check", "ufp", "--family", "verify", "--format", "json"],
+    ["vcdim", "--family", "-", "--cap", "3"],
+    ["oracle", "-k", "2", "-s", "3", "-n", "5", "--fallback-enum", "--workers", "2"],
+    ["verify", "certificate", "-k", "2", "-s", "3", "-n", "14", "--witness-out", "explore"],
+    ["explore", "-k", "2", "-s", "3", "-n", "7:4"],
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+class TestParserMatchesReference:
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    def test_help_texts_match(self, columns, monkeypatch, capsys):
+        assert len(HELP_LEVELS) == 19
+        monkeypatch.setenv("COLUMNS", columns)
+        for level in HELP_LEVELS:
+            argv = [*level, "--help"]
+            got = parse_outcome(main, argv, capsys)
+            assert got == parse_outcome(reference_parser().parse_args, argv, capsys), argv
+            assert got[0] == 0 and got[1].startswith("usage: vccover")
+
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    @pytest.mark.parametrize("argv", USAGE_ERRORS)
+    def test_usage_errors_match(self, argv, columns, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = parse_outcome(main, argv, capsys)
+        assert got == parse_outcome(reference_parser().parse_args, argv, capsys)
+        assert got[0] == 2 and got[1] == "" and "error:" in got[2]
+
+    @pytest.mark.parametrize("argv", VALID)
+    def test_parsed_options_match(self, argv):
+        assert _build_parser(argv).parse_args(argv) == reference_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv, built, leaves", [
+        (["oracle", "-k", "2", "-s", "3", "-n", "5"], {"oracle"}, set()),
+        (["verify", "main", "-k", "2", "-s", "3"], {"verify"}, {"prop-const", "certificate", "main"}),
+        (["--help"], set(), set()),
+    ])
+    def test_only_the_named_command_is_built(self, argv, built, leaves, monkeypatch):
+        # Records the prog and add_help of each parser argparse constructs.
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def recording_init(self, *args, **kwargs):
+            made.append((kwargs.get("prog") or "", kwargs.get("add_help", True)))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+        _build_parser(argv)
+        levels = [(prog.split()[1:], add_help) for prog, add_help in made]
+        commands = {level[0]: add_help for level, add_help in levels if len(level) == 1}
+        assert sorted(commands) == sorted(_COMMANDS)
+        assert {command for command, add_help in commands.items() if add_help} == built
+        assert {level[1] for level, _ in levels if len(level) == 2} == leaves
 
 
 class TestDeterminism:

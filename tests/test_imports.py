@@ -48,6 +48,13 @@ STARTUP_COMMANDS = {
 }
 
 
+VERIFY_LEAVES = {
+    "prop-const": ["verify", "prop-const", "-m", "4", "-k", "2"],
+    "certificate": ["verify", "certificate", "-k", "2", "-s", "3", "-n", "14"],
+    "main": STARTUP_COMMANDS["verify"],
+}
+
+
 def loaded_modules(argv: list[str], tmp_path) -> set[str]:
     family = tmp_path / "f.vcfam"
     family.write_text(write_family(full_family(5, 2)))
@@ -73,6 +80,19 @@ def test_command_never_loads_dataclasses(command, tmp_path):
     loaded = loaded_modules(STARTUP_COMMANDS[command], tmp_path)
     assert "vccover.cli" in loaded
     assert not NEVER_AT_STARTUP & loaded
+
+
+def test_explore_never_loads_the_covering_checks(tmp_path):
+    loaded = loaded_modules(STARTUP_COMMANDS["explore"], tmp_path)
+    assert {"vccover.verify", "vccover.oracle"} <= loaded
+    assert "vccover.covering" not in loaded
+
+
+@pytest.mark.parametrize("leaf", sorted(VERIFY_LEAVES))
+def test_verify_leaves_load_the_covering_checks(leaf, tmp_path):
+    loaded = loaded_modules(VERIFY_LEAVES[leaf], tmp_path)
+    assert "vccover.covering" in loaded
+    assert "vccover.oracle" not in loaded
 
 
 def test_json_family_writer_does_not_load_json(tmp_path):
