@@ -56,7 +56,9 @@ def _n_range(text: str) -> range:
     try:
         lo, hi = map(int, text.split(":")) if ":" in text else (int(text),) * 2
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected N or LO:HI, got {text!r}") from None
+        lo, hi = 1, 0
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"expected N or LO:HI, got {text!r}")
     return range(lo, hi + 1)
 
 

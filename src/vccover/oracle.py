@@ -97,9 +97,11 @@ class _Search:
     universe[j], as the OR of their index bits over `iter_submasks`; and
     `candidates_for[i]`, the bitmap of the members holding k-set i, as the
     AND of its elements' columns in the universe's incidence table, the
-    rule `covering.py` uses. `search(d)` builds its d's pattern words
-    (`_pattern_words`) and runs the DFS; `nodes` counts the nodes of every
-    search run.
+    rule `covering.py` uses. `bound` is min(s, n - s), above which no
+    subfamily's VC-dimension can lie, and `family(selector)` the subfamily
+    whose universe indices are the selector's bits. `search(d)` builds its d's
+    pattern words (`_pattern_words`) and runs the DFS; `nodes` counts the
+    nodes of every search run.
 
     The traces of a partial family live in one int with a field of P + 1
     bits per (d+1)-probe, P = 2^(d+1): bit t of a field is set when some
@@ -125,6 +127,7 @@ class _Search:
         if universe_size > cap:
             raise FeasibilityError(f"universe C({n},{s}) = {universe_size} exceeds cap {cap}")
         self.n = n
+        self.bound = min(s, n - s)
         self.universe = list(iter_fixed_size_masks(n, s))
         bit_of = {a: 1 << i for i, a in enumerate(iter_fixed_size_masks(n, k))}
         self.all_covered = (1 << len(bit_of)) - 1
@@ -133,6 +136,10 @@ class _Search:
         self.candidates_for = [reduce(and_, [columns[e - 1] for e in elements_of(a)])
                                for a in bit_of]
         self.nodes = 0
+
+    def family(self, selector: int) -> SetFamily:
+        """The subfamily of the universe at the indices set in `selector`."""
+        return SetFamily(self.n, [m for j, m in enumerate(self.universe) if selector >> j & 1])
 
     def search(self, d: int) -> SetFamily | None:
         """The first covering with VC <= d in DFS order, or None.
@@ -150,14 +157,14 @@ class _Search:
         """
         words, ones = _pattern_words(self.universe, self.n, d)
         guard = ones << (1 << (d + 1))
-        universe, coverage_of, candidates_for = self.universe, self.coverage_of, self.candidates_for
+        coverage_of, candidates_for = self.coverage_of, self.candidates_for
         missing, chosen, state, allowed = self.all_covered & ~coverage_of[0], 1, words[0], -1
         nodes, stack = 1, []
         while True:
             nodes += 1
             if not missing:
                 self.nodes += nodes
-                return SetFamily(self.n, [m for j, m in enumerate(universe) if chosen >> j & 1])
+                return self.family(chosen)
             live = candidates_for[(missing & -missing).bit_length() - 1] & allowed
             while True:
                 if live:
@@ -207,23 +214,20 @@ def _oracle_enumerate(search: _Search) -> tuple[int, SetFamily, int]:
     """Minimum over all covering subfamilies by full power-set enumeration.
 
     Walks every nonempty subfamily of the universe of `search`, in selector
-    order, keeps the covering ones by its coverage table, and runs the VC
-    walk of `vc_dimension` on each one as the selector's cell of the
-    universe's incidence table, so no subfamily gets a family or a table of
-    its own. Its active elements and cap come from the columns restricted
-    to the selector, as `vc_dimension` takes them from the subfamily's own
-    (every member has size s). Returns the minimum, the family of its first
-    selector, and the count of subfamilies examined, all
-    2^|universe| - 1 of them. The walk never stops early: a covering family
-    of VC-dimension 0 has one member, [n], so it occurs only when s = n and
-    the universe is that one member.
+    order, keeps the covering ones by its coverage table, and makes one
+    call of the VC walk of `vc_dimension` on each: the selector is the
+    walk's cell of the universe's incidence table, and `search.bound` its
+    bound, so no subfamily gets a family or a table of its own. The walk
+    derives the cell's active elements and counting cap itself. Returns the
+    minimum, the family of its first selector, and the count of
+    subfamilies examined, all 2^|universe| - 1 of them. The walk never
+    stops early: a covering family of VC-dimension 0 has one member, [n],
+    so it occurs only when s = n and the universe is that one member.
     """
     # Imported here, so the branch-and-bound route never loads vccover.vc.
     from .vc import _shattered_walk
 
     universe, coverage_of, columns = search.universe, search.coverage_of, search.columns
-    s = universe[0].bit_count()
-    bound = min(s, search.n - s)
     best = best_selector = None
     for selector in range(1, 1 << len(universe)):
         covered = 0
@@ -234,17 +238,11 @@ def _oracle_enumerate(search: _Search) -> tuple[int, SetFamily, int]:
             sel ^= low
         if covered != search.all_covered:
             continue
-        active = 0
-        for i, column in enumerate(columns):
-            if 0 < column & selector < selector:
-                active |= 1 << i
-        cap = min(bound, selector.bit_count().bit_length() - 1, active.bit_count())
-        value = len(_shattered_walk(universe, columns, active, cap, selector)) - 1
+        value = len(_shattered_walk(universe, columns, selector, search.bound)) - 1
         if best is None or value < best:
             best, best_selector = value, selector
     assert best is not None
-    witness = SetFamily(search.n, [m for j, m in enumerate(universe) if best_selector >> j & 1])
-    return best, witness, (1 << len(universe)) - 1
+    return best, search.family(best_selector), (1 << len(universe)) - 1
 
 
 def oracle_D(
@@ -272,7 +270,7 @@ def oracle_D(
     if exhaustive:
         value, witness, examined = _oracle_enumerate(search)
         return OracleResult(params, value, witness, examined, method)
-    for d in range(min(params.s, params.n - params.s) + 1):
+    for d in range(search.bound + 1):
         found = search.search(d)
         if found is not None:
             return OracleResult(params, d, found, search.nodes, method)

@@ -5,10 +5,12 @@ S; ``shatters`` checks exactly that, by counting A's distinct traces. The
 dimension search is one depth-first walk over the shattered sets, keeping
 the first (canonically smallest) probe it meets of each size; when the walk
 runs to completion it is an exhaustive refutation one size above the
-largest. Probes are drawn only from "active" elements (present in some
-member, absent from some member): an element in every member blocks the
-empty trace, an element in no member blocks the full trace, so no other
-probe can be shattered.
+largest. The walk owns both rules that bound it. Probes are drawn only
+from "active" elements (present in some member, absent from some member):
+an element in every member blocks the empty trace, an element in no member
+blocks the full trace, so no other probe can be shattered. And it stops at
+the counting cap: no shattered set is larger than log2 of the member count,
+than the number of active elements, or than the caller's bound.
 
 The walk works in element space: a probe is a mask over [n] and the
 elements it may still take are a candidate mask. It reads the family's
@@ -21,6 +23,10 @@ shattered set is shattered (Sauer 1972, Shelah 1972). A shattered
 extension of A realizes its full trace, so one member of A's all-in cell
 (the members containing A) holds all of it; candidates outside the union
 of that cell are dropped, which keeps the colex order of the rest.
+
+The first cell is the set of members walked: all of them for
+``vc_dimension``, one subfamily for the power-set oracle, which walks each
+covering subfamily of its universe on the universe's one table.
 """
 
 from __future__ import annotations
@@ -72,12 +78,17 @@ def shatters(f: SetFamily, probe: int) -> bool:
     return len(trace(f, probe).traces) == 1 << probe.bit_count()
 
 
-def _shattered_walk(
-    members: Sequence[int], columns: list[int], candidates: int, cap: int, start: int | None = None
-) -> list[int]:
-    """``first[r]``: the colex-smallest shattered r-subset of the candidates.
+def _shattered_walk(members: Sequence[int], columns: list[int], cell: int, bound: int) -> list[int]:
+    """``first[r]``: the colex-smallest shattered r-set of the subfamily ``cell``.
 
-    One depth-first walk over the shattered subsets of the candidate mask,
+    ``cell`` holds the member bits of the subfamily walked, over the
+    columns of ``members``. Its active elements are those whose column
+    meets the cell without holding all of it, and the walk's cap is
+    min(``bound``, floor(log2 |cell|), number of active elements): 2^r
+    traces need 2^r members, and a shattered set is made of active
+    elements.
+
+    One depth-first walk over the shattered sets of the active elements,
     from the top element down: a probe is extended only by live candidates
     below its lowest element, tried in ascending order. So the walk meets
     the probes of each size in colex order, and the first probe it meets at
@@ -85,8 +96,8 @@ def _shattered_walk(
     members realizing one trace of the probe so far) into those that contain
     i and those that do not; an empty half means a missing trace, and since
     shattered sets are down-closed no extension of that probe can shatter.
-    The walk stops at the first probe of size ``cap``; otherwise it runs to
-    completion, and the list ends at the largest shattered size.
+    The walk stops at the first probe of the cap's size; otherwise it runs
+    to completion, and the list ends at the largest shattered size.
 
     ``cells[0]`` is the all-in cell: the members containing every element
     chosen so far. A shattered extension realizes its full trace, so all of
@@ -95,11 +106,12 @@ def _shattered_walk(
     extension can hold and leaves the order of the rest alone. The union
     costs one OR per member of the cell, so it is taken only when the cell
     has fewer members than there are candidates left to narrow.
-
-    ``start`` is the walk's first cell, the member bits of the family it
-    walks: all of ``members`` by default. A subset of them walks that
-    subfamily on the same columns, as the power-set oracle does.
     """
+    active = 0
+    for i, column in enumerate(columns):
+        if 0 < column & cell < cell:
+            active |= 1 << i
+    cap = min(bound, cell.bit_count().bit_length() - 1, active.bit_count())
     first = [0]
 
     def dfs(cells: list[int], live: int, probe: int, size: int) -> bool:
@@ -117,12 +129,12 @@ def _shattered_walk(
             rest ^= low
             column = columns[low.bit_length() - 1]
             split = []
-            for cell in cells:
-                inside = cell & column
-                if not inside or inside == cell:
+            for part in cells:
+                inside = part & column
+                if not inside or inside == part:
                     break
                 split.append(inside)
-                split.append(cell ^ inside)
+                split.append(part ^ inside)
             else:
                 if size == len(first):
                     first.append(probe | low)
@@ -133,34 +145,26 @@ def _shattered_walk(
         return False
 
     if cap:
-        dfs([(1 << len(members)) - 1 if start is None else start], candidates, 0, 1)
+        dfs([cell], active, 0, 1)
     return first
 
 
 def vc_dimension(f: SetFamily) -> VcReport:
     """Exact VC-dimension of a nonempty family, with witness and refutation.
 
-    One walk over the shattered sets of the active elements, capped by
-    min(largest member size, n - smallest member size, log2 |F|, number of
-    active elements): a shattered set cannot exceed any of these (the
-    second because its empty trace needs a member disjoint from it). The
-    witness is the colex-smallest shattered set of the largest size. When
-    the walk stops below the cap, the refutation at dimension + 1 is the
-    completed walk; at the cap it is the counting bound itself.
+    One walk over every member, bounded by min(largest member size,
+    n - smallest member size): a shattered set fits in a member, and its
+    empty trace needs a member disjoint from it. The walk adds the counting
+    cap. The witness is the colex-smallest shattered set of the largest
+    size. When the walk stops below its cap, the refutation at
+    dimension + 1 is the completed walk; at the cap it is the counting
+    bound itself.
     """
     if not f.members:
         raise ValueError("VC-dimension is undefined for the empty family")
-    members = f.members
-    everyone = (1 << len(members)) - 1
-    columns = incidence_columns(f)
-    active = 0
-    for i, column in enumerate(columns):
-        if 0 < column < everyone:
-            active |= 1 << i
-    sizes = [m.bit_count() for m in members]
-    floor_log2 = len(members).bit_length() - 1
-    cap = min(max(sizes), f.n - min(sizes), floor_log2, active.bit_count())
-    first = _shattered_walk(members, columns, active, cap)
+    sizes = [m.bit_count() for m in f.members]
+    bound = min(max(sizes), f.n - min(sizes))
+    first = _shattered_walk(f.members, incidence_columns(f), (1 << len(sizes)) - 1, bound)
     return VcReport(dimension=len(first) - 1, witness=first[-1], refuted_size=len(first))
 
 

@@ -278,7 +278,7 @@ class TestUsageErrors:
                 main([*argv[:i], *argv[i + 2:]])
             assert exc.value.code == 2, argv[i]
 
-    @pytest.mark.parametrize("spelling", ["5:", ":5", "a", "5:6:7"])
+    @pytest.mark.parametrize("spelling", ["5:", ":5", "a", "5:6:7", "7:4"])
     def test_malformed_explore_range_names_its_option(self, spelling, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["explore", "-k", "2", "-s", "3", "-n", spelling])
@@ -359,6 +359,7 @@ USAGE_ERRORS = [
     ["check", "covering", "--family", "f.vcfam", "-k", "2", "--format", "xml"],
     ["explore", "-k", "2", "-s", "3", "-n", "5:"],
     ["vcdim", "--family", "f.vcfam", "--workers", "0", "explore"],
+    ["explore", "-k", "2", "-s", "3", "-n", "7:4"],
 ]
 
 VALID = [
@@ -367,7 +368,8 @@ VALID = [
     ["vcdim", "--family", "-", "--cap", "3"],
     ["oracle", "-k", "2", "-s", "3", "-n", "5", "--fallback-enum", "--workers", "2"],
     ["verify", "certificate", "-k", "2", "-s", "3", "-n", "14", "--witness-out", "explore"],
-    ["explore", "-k", "2", "-s", "3", "-n", "7:4"],
+    ["explore", "-k", "2", "-s", "3", "-n", "4:7"],
+    ["explore", "-k", "2", "-s", "3", "-n", "7:7"],
 ]
 
 

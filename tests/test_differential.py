@@ -90,13 +90,14 @@ def reference_vc(f) -> VcReport:
 
 
 def assert_walk_matches(f, label) -> None:
-    """Every ``first[r]`` of the walk, uncapped and at every cap below the end."""
+    """Every ``first[r]`` of the walk over every member, at a bound above n and
+    at every bound below the end."""
     first = reference_first(f)
     columns = incidence_columns(f)
-    assert _shattered_walk(f.members, columns, full_mask(f.n), f.n + 1) == first, label
+    everyone = (1 << len(f.members)) - 1
+    assert _shattered_walk(f.members, columns, everyone, f.n + 1) == first, label
     for cap in range(1, len(first)):
-        assert _shattered_walk(f.members, columns, full_mask(f.n), cap) == first[: cap + 1], \
-            (label, cap)
+        assert _shattered_walk(f.members, columns, everyone, cap) == first[: cap + 1], (label, cap)
 
 
 def reference_cover(f, k: int) -> CoverReport:
@@ -156,6 +157,27 @@ def families(draw):
 @given(families())
 def test_kernels_match_references_on_random_families(f):
     assert_kernels_match(f, (f.n, f.members))
+
+
+@st.composite
+def families_with_cells(draw):
+    f = draw(families().filter(lambda f: f.members))
+    indices = draw(st.sets(st.integers(min_value=0, max_value=len(f.members) - 1), min_size=1))
+    return f, sum(1 << j for j in indices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families_with_cells())
+def test_walk_on_a_cell_matches_vc_of_its_subfamily(case):
+    # The walk over a cell of a non-uniform family, on the whole family's
+    # columns, against the cell's members as their own family.
+    f, cell = case
+    sub = SetFamily(f.n, [m for j, m in enumerate(f.members) if cell >> j & 1])
+    sizes = [m.bit_count() for m in sub.members]
+    first = _shattered_walk(f.members, incidence_columns(f), cell, min(max(sizes), f.n - min(sizes)))
+    report = vc_dimension(sub)
+    assert (len(first) - 1, first[-1]) == (report.dimension, report.witness), sub.members
+    assert first == reference_first(sub), sub.members
 
 
 # Families whose first faceless member is not the last one, so a verdict
