@@ -59,6 +59,8 @@ def _n_range(text: str) -> range:
         lo, hi = 1, 0
     if lo > hi:
         raise argparse.ArgumentTypeError(f"expected N or LO:HI, got {text!r}")
+    if lo < 1:
+        raise argparse.ArgumentTypeError(f"expected N or LO:HI, got {text!r}: ground sizes start at 1")
     return range(lo, hi + 1)
 
 

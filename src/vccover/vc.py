@@ -24,6 +24,18 @@ extension of A realizes its full trace, so one member of A's all-in cell
 (the members containing A) holds all of it; candidates outside the union
 of that cell are dropped, which keeps the colex order of the rest.
 
+Once the walk holds a shattered r-set, a smaller probe matters only if it
+grows to a new record, of size r + 1, and the walk enters only the
+children that still can. A child that must grow needs two members of its
+parent's all-in cell, one with its next element and one without, so such
+children are drawn from the elements of at least two of those members.
+Each further element halves every cell, so a child j elements short of a
+record is cut when a half of a cell it splits has fewer than 2^j members:
+the per-cell form of the log2 cap. A child with no candidates below its
+lowest element is never entered. Every subtree cut holds no probe of size
+r + 1, so no record is lost: the first probe of each size, and with it the
+colex witness, is the one the uncut walk meets.
+
 The first cell is the set of members walked: all of them for
 ``vc_dimension``, one subfamily for the power-set oracle, which walks each
 covering subfamily of its universe on the universe's one table.
@@ -106,6 +118,21 @@ def _shattered_walk(members: Sequence[int], columns: list[int], cell: int, bound
     extension can hold and leaves the order of the rest alone. The union
     costs one OR per member of the cell, so it is taken only when the cell
     has fewer members than there are candidates left to narrow.
+
+    Children of size below ``len(first)`` cannot be records, so they matter
+    only if they grow to size ``len(first)``. For them the same loop over
+    the all-in cell collects ``twice``, the elements in at least two of its
+    members, and the node narrows to ``twice`` instead: an extension of a
+    child needs one member holding the child and its next element and one
+    holding the child without it. In the split, a child ``short`` elements
+    below ``len(first)`` needs 2^short members in each half, since each of
+    those elements halves every cell again; the bits are counted only when
+    ``short`` is positive, after the test for an empty half. ``short`` is
+    worked out per candidate, since a sibling's subtree can raise
+    ``len(first)``. A child with no live candidates below its lowest
+    element is recorded if new but not entered. Each rule cuts only
+    subtrees with no shattered probe of size ``len(first)``, and so none
+    larger, so ``first`` is the list the uncut walk returns.
     """
     active = 0
     for i, column in enumerate(columns):
@@ -117,30 +144,38 @@ def _shattered_walk(members: Sequence[int], columns: list[int], cell: int, bound
     def dfs(cells: list[int], live: int, probe: int, size: int) -> bool:
         holders = cells[0]
         if holders.bit_count() < live.bit_count():
-            union = 0
+            union = twice = 0
             while holders:
                 j = holders.bit_length() - 1
-                union |= members[j]
+                member = members[j]
+                twice |= union & member
+                union |= member
                 holders ^= 1 << j
-            live &= union
+            live &= twice if size < len(first) else union
         rest = live
         while rest:
             low = rest & -rest
             rest ^= low
             column = columns[low.bit_length() - 1]
+            # The elements the child lacks to set a record.
+            short = len(first) - size
             split = []
             for part in cells:
                 inside = part & column
                 if not inside or inside == part:
                     break
+                if short and (inside.bit_count() >> short == 0
+                              or (part ^ inside).bit_count() >> short == 0):
+                    break
                 split.append(inside)
                 split.append(part ^ inside)
             else:
-                if size == len(first):
+                if not short:
                     first.append(probe | low)
                     if size == cap:
                         return True
-                if dfs(split, live & (low - 1), probe | low, size + 1):
+                below = live & (low - 1)
+                if below and dfs(split, below, probe | low, size + 1):
                     return True
         return False
 

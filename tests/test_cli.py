@@ -278,7 +278,7 @@ class TestUsageErrors:
                 main([*argv[:i], *argv[i + 2:]])
             assert exc.value.code == 2, argv[i]
 
-    @pytest.mark.parametrize("spelling", ["5:", ":5", "a", "5:6:7", "7:4"])
+    @pytest.mark.parametrize("spelling", ["5:", ":5", "a", "5:6:7", "7:4", "-3", "0", "0:4"])
     def test_malformed_explore_range_names_its_option(self, spelling, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["explore", "-k", "2", "-s", "3", "-n", spelling])
@@ -360,6 +360,10 @@ USAGE_ERRORS = [
     ["explore", "-k", "2", "-s", "3", "-n", "5:"],
     ["vcdim", "--family", "f.vcfam", "--workers", "0", "explore"],
     ["explore", "-k", "2", "-s", "3", "-n", "7:4"],
+    ["explore", "-k", "2", "-s", "3", "-n", "-3"],
+    ["explore", "-k", "2", "-s", "3", "-n", "0"],
+    ["explore", "-k", "2", "-s", "3", "-n=-5:-1"],
+    ["explore", "-k", "2", "-s", "3", "-n", "0:4"],
 ]
 
 VALID = [

@@ -61,6 +61,7 @@ from vccover.families import (
     _header_n,
     _parameter_line,
     incidence_columns,
+    make_family,
     read_family,
     write_family_json,
 )
@@ -532,11 +533,21 @@ def test_json_writer_and_incidence_match_references_on_random_families(f):
 # members holding it, when they are fewer than the candidates. Families that
 # take that union at the root (fewer members than active elements), hold an
 # empty member or mixed sizes, never take it (full families), and the
-# explore witnesses, which take it deep in their refutations.
+# explore witnesses, which take it deep in their refutations. Where its
+# children cannot be records, a probe narrows to the elements of at least two
+# of its holders, and a child j sizes short of a record is cut when a half
+# has fewer than 2^j members. In the 6-element family the record {1,2} is
+# found under the root's second candidate; the later sibling {6} then narrows
+# to two holders, and its record {1,2,6} takes 2, held by exactly two of the
+# members holding 6. In the 4-element family (8 members, dimension 3) the
+# root cuts 3, two sizes short, for a half of 3 members, and enters 4, whose
+# halves of exactly 4 members lead to the record {1,2,4}.
 PRUNING_FAMILIES = [
     family_from_masks(10, [0b1011001110, 0b0110110101, 0b1101011011]),
     family_from_masks(8, [0, 0b111, 0b11100, 0b1110000, 0b10101010, 0b01010101]),
     family_from_masks(7, [0b1, 0b110, 0b1111000, 0b0101011, 0b1010100, 0b1111111]),
+    make_family(6, [[2], [1, 2, 3], [4], [1, 4], [2, 6], [3, 6], [1, 2, 3, 4, 6], [1, 5, 6]]),
+    make_family(4, [[1, 2], [3], [1, 3], [2, 3], [1, 4], [1, 2, 4], [3, 4], [2, 3, 4]]),
     *(full_family(n, s) for n, s in [(6, 3), (7, 2), (8, 4), (9, 6)]),
     *(covering_witness_family(2, s, n) for s in (3, 4, 5) for n in (*range(s, 13), 24, 40)),
 ]
