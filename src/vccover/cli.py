@@ -5,7 +5,7 @@ the command's handler returns ``(exit code, data)``, and ``main`` writes the
 data once, to --out or stdout. Diagnostics such as node counts and wall
 time go to stderr, so the data stream is byte-reproducible across runs and
 worker counts. Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage
-error, 3 feasibility-cap error.
+error, 3 feasibility cap exceeded or out of memory.
 
 Start-up is most of the cost of a short command, so the parser holds only
 the command being run: every other command keeps its help line but gets no
@@ -305,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,8 +5,9 @@ k-set, or per-member faces (a proper subset contained in no other member,
 minimal by size then mask order). Witness canonicality makes runs
 byte-reproducible. Both read the family's incidence table
 (``incidence_columns``): the members containing a set are the AND of its
-elements' columns. A caller that needs only the face verdict uses
-``first_faceless``, which stops at the first member without a face.
+elements' columns. One member loop decides every face verdict;
+``first_faceless`` stops it at the first member without a face, and only
+``unique_face`` goes on to search each member's smallest face.
 
 Faces are closed upward inside their member S: a superset of a face K
 inside S is held only by members holding K, so only by S. So S has a face
@@ -98,47 +99,36 @@ def is_k_covering(f: SetFamily, k: int) -> CoverReport:
     return CoverReport(k=k, holds=True)
 
 
-def _has_face(own: list[int], bit: int, everyone: int) -> bool:
-    """True iff a co-singleton of the member (columns ``own``, index bit ``bit``) is a face.
+def _face_verdicts(f: SetFamily) -> Iterator[tuple[int, tuple[int, ...], list[int], int, bool]]:
+    """Yield ``(member, elements, columns, bit, has_face)`` per member, in member order.
 
-    Without element i its column AND is ``prefix & suffix[i + 1]``, the
-    ANDs of the columns before i and after it; ``everyone`` is the empty AND.
-    """
-    suffix = [everyone]
-    for column in reversed(own):
-        suffix.append(suffix[-1] & column)
-    suffix.reverse()
-    prefix = everyone
-    for i, column in enumerate(own):
-        if prefix & suffix[i + 1] == bit:
-            return True
-        prefix &= column
-    return False
-
-
-def _member_faces(f: SetFamily) -> Iterator[tuple[int, int | None]]:
-    """Yield each member with its smallest face, or None if it has none, in member order.
-
-    A face of member j is a proper subset whose column AND is exactly {j}:
-    a subset of no other member. The smallest is searched by size, then in
-    mask order, only where a co-singleton is a face, so the search ends.
-    Raises ValueError for the empty family on the first ``next``.
+    ``columns`` are the incidence columns of the member's elements and
+    ``bit`` its own index bit; a face is a proper subset whose column AND is
+    exactly ``bit``. ``has_face`` looks at the co-singletons alone: without
+    element i the AND is ``prefix & suffix[i + 1]``, the ANDs of the columns
+    before i and after it, with ``everyone`` as the empty AND; the first
+    co-singleton face ends the test. Raises ValueError for the empty family
+    on the first ``next``.
     """
     if not f.members:
         raise ValueError("unique-face check is undefined for the empty family")
-    columns = incidence_columns(f)
+    table = incidence_columns(f)
     everyone = (1 << len(f.members)) - 1
     for j, member in enumerate(f.members):
         elements = elements_of(member)
-        own = [columns[e - 1] for e in elements]
-        if not _has_face(own, 1 << j, everyone):
-            yield member, None
-            continue
-        for r in range(len(elements)):
-            face = _first_meeting(own, r, everyone, 1 << j)
-            if face is not None:
-                yield member, spread(face, elements)
+        columns = [table[e - 1] for e in elements]
+        bit = 1 << j
+        suffix = [everyone]
+        for column in reversed(columns):
+            suffix.append(suffix[-1] & column)
+        suffix.reverse()
+        prefix, has_face = everyone, False
+        for i, column in enumerate(columns):
+            if prefix & suffix[i + 1] == bit:
+                has_face = True
                 break
+            prefix &= column
+        yield member, elements, columns, bit, has_face
 
 
 def first_faceless(f: SetFamily) -> int | None:
@@ -147,27 +137,27 @@ def first_faceless(f: SetFamily) -> int | None:
     Decided by co-singletons alone, exact as faces are closed upward inside
     a member (see the module docstring): about 2|S| ANDs per member S.
     """
-    if not f.members:
-        raise ValueError("unique-face check is undefined for the empty family")
-    columns = incidence_columns(f)
-    everyone = (1 << len(f.members)) - 1
-    for j, member in enumerate(f.members):
-        if not _has_face([columns[e - 1] for e in elements_of(member)], 1 << j, everyone):
-            return member
-    return None
+    return next((member for member, _, _, _, has_face in _face_verdicts(f) if not has_face), None)
 
 
 def unique_face(f: SetFamily) -> FaceReport:
     """Find every member's smallest face; the violator is the first member without one.
 
-    Scans every member, so ``faces`` is complete; callers that need only the
-    verdict use ``first_faceless``, which stops at the violator.
+    The smallest face is searched by size, then in mask order, only where a
+    co-singleton is a face, so the search ends. Scans every member, so
+    ``faces`` is complete; callers that need only the verdict use
+    ``first_faceless``, which stops at the violator.
     """
+    everyone = (1 << len(f.members)) - 1
     faces: dict[int, int] = {}
     violator = None
-    for member, face in _member_faces(f):
-        if face is not None:
-            faces[member] = face
+    for member, elements, columns, bit, has_face in _face_verdicts(f):
+        if has_face:
+            for r in range(len(elements)):
+                face = _first_meeting(columns, r, everyone, bit)
+                if face is not None:
+                    faces[member] = spread(face, elements)
+                    break
         elif violator is None:
             violator = member
     return FaceReport(holds=violator is None, faces=faces, violator=violator)

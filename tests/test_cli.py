@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from vccover import (
     recursive_family,
     write_family,
 )
+from vccover import constructions
 from vccover.cli import _COMMANDS, _OPTIONS, _build_parser, _common_parser, main
 
 CLI = [sys.executable, "-m", "vccover"]
@@ -104,6 +106,13 @@ class TestCheckAndVcdim:
         path.write_text(write_family(full_family(4, 2)))
         proc = run_cli("check", "ufp", "--family", str(path))
         assert proc.stdout == "FAIL violator: 1 2\n" and proc.returncode == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_check_ufp_refuses_the_empty_family(self, fmt, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("vcfam 1\nn=4 s=mixed\n"))
+        assert main(["check", "ufp", "--family", "-", "--format", fmt]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "empty family" in err
 
 
 class TestOracleCli:
@@ -246,6 +255,15 @@ class TestUsageErrors:
         proc = run_cli("construct", "fk", "-m", "200", "-k", "100")
         assert proc.returncode == 2 and proc.stdout == ""
         assert "ground size 299 exceeds maximum 256" in proc.stderr
+
+    def test_out_of_memory_is_not_a_verification_failure(self, monkeypatch, capsys):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(constructions, "recursive_family", exhausted)
+        assert main(["construct", "fk", "-m", "4", "-k", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: out of memory\n"
 
     @pytest.mark.parametrize("option", ["--workers", "--cap"])
     @pytest.mark.parametrize("value", ["0", "-1", "two"])

@@ -1,6 +1,8 @@
 import pytest
 
 from vccover import (
+    SetFamily,
+    covering_witness_family,
     elements_of,
     full_family,
     hypercube_family,
@@ -12,6 +14,8 @@ from vccover import (
     unique_face,
     vc_dimension,
 )
+from vccover import covering
+from vccover.covering import first_faceless
 
 
 class TestIsKCovering:
@@ -84,6 +88,21 @@ class TestUniqueFace:
                 assert face & member == face and face != member, name
                 others = [m for m in f.members if m != member]
                 assert not any(face & o == face for o in others), name
+
+
+class TestFaceVerdict:
+    def test_verdict_never_searches_a_face(self, monkeypatch):
+        def searched(*args):
+            raise AssertionError("the face verdict searched for a smallest face")
+
+        monkeypatch.setattr(covering, "_first_meeting", searched)
+        assert first_faceless(covering_witness_family(2, 4, 30)) is None
+        assert first_faceless(full_family(6, 3)) == 0b111
+
+    @pytest.mark.parametrize("check", [first_faceless, unique_face])
+    def test_empty_family_refused_at_call_time(self, check):
+        with pytest.raises(ValueError, match="empty family"):
+            check(SetFamily(3, ()))
 
 
 class TestUfpImpliesVcBound:
