@@ -11,17 +11,25 @@ Two independent routes:
 The branch-and-bound packs the traces of the partial family on every
 (d+1)-probe into one int, a field of pattern bits per probe (see
 `_Search`), so adding a member is one OR and the shattering test for all
-probes is one addition. Two more facts prune the search. "VC <= d" is
-hereditary, so a candidate whose branch failed under a node lies in no
-covering below that node's later siblings, and is excluded there. And
-Sym({k+1..n}) fixes the root's k-set {1..k} and permutes its s-supersets
-transitively, so a covering exists iff one contains {1..s}, the root's
-first branch; the other root branches are never entered.
+probes is one addition. Symmetry prunes the search further. Let G be the
+group of permutations of [n] that fix every member chosen at a node: the
+product of Sym(atom) over the atoms of the Venn partition of [n] by those
+members. G maps coverings with VC <= d to coverings with VC <= d. At the
+root, Sym({k+1..n}) fixes the root's k-set {1..k} and permutes its
+s-supersets transitively, so a covering exists iff one contains {1..s},
+the root's first branch; the other root branches are never entered. One
+and two levels down, a branch j that fails, by a shattered probe or an
+empty subtree, fails for every image of j under G too, so j's whole
+G-orbit leaves the node's later branches and everything below them.
+Deeper down only j itself leaves, as "VC <= d" is hereditary. Every prune
+drops only members that lie in no covering the node can still reach, so
+the search meets solutions in the same order as the plain DFS and returns
+the same witness; only the node count falls.
 
 One `_Search` per (k, s, n) serves both routes: its universe, coverage
-table and candidate bitmaps are built once, after the cap check, from the
-package's own subset enumeration and incidence table, and serve every d of
-the scan. Only the pattern words are built per d, each member's word as
+table, candidate bitmaps and first-level orbit masks are built once, after
+the cap check, from the package's own subset enumeration and incidence
+table, and serve every d of the scan. Only the pattern words are built per d, each member's word as
 one binary string read by one `int(..., 2)`, and one method, `search(d)`,
 runs the whole search for that d.
 
@@ -88,16 +96,38 @@ def _pattern_words(universe: list[int], n: int, d: int) -> tuple[list[int], int]
     return words, int(fields[0] * len(tables), 2)
 
 
+def _orbit_masks(universe: list[int], chosen: tuple[int, ...]) -> list[int]:
+    """Each member's orbit under the symmetries of [n] that fix every chosen member.
+
+    That group is the product of Sym(atom) over the atoms of the Venn
+    partition of [n] by the chosen members, so two s-sets share an orbit
+    exactly when they meet every atom in the same number of elements; the
+    atom outside every chosen member is determined by the others, as all
+    members have size s. Entry j is the bitmask of universe indices in
+    universe[j]'s orbit.
+    """
+    atoms = [-1]
+    for c in chosen:
+        atoms = [part for a in atoms for part in (a & c, a & ~c)]
+    atoms = [a for a in atoms if a > 0]
+    keys = [tuple([(m & a).bit_count() for a in atoms]) for m in universe]
+    orbits: dict[tuple[int, ...], int] = {}
+    for j, key in enumerate(keys):
+        orbits[key] = orbits.get(key, 0) | 1 << j
+    return [orbits[key] for key in keys]
+
+
 class _Search:
     """Branch-and-bound over the subfamilies of one (k, s, n) universe.
 
     The constructor checks the cap, then builds everything that does not
     depend on d once per triple, from the package's own kernels: the
     universe of s-sets; `coverage_of[j]`, the bitmap of the k-sets inside
-    universe[j], as the OR of their index bits over `iter_submasks`; and
+    universe[j], as the OR of their index bits over `iter_submasks`;
     `candidates_for[i]`, the bitmap of the members holding k-set i, as the
     AND of its elements' columns in the universe's incidence table, the
-    rule `covering.py` uses. `bound` is min(s, n - s), above which no
+    rule `covering.py` uses; and `orbit_of`, the first level's orbit masks
+    (below). `bound` is min(s, n - s), above which no
     subfamily's VC-dimension can lie, and `family(selector)` the subfamily
     whose universe indices are the selector's bits. `search(d)` builds its d's
     pattern words (`_pattern_words`) and runs the DFS; `nodes` counts the
@@ -116,9 +146,28 @@ class _Search:
     subtree, j is dropped from `allowed` for the node's later siblings and
     everything below them: by heredity, any covering with VC <= d holding
     the node's members and j would have been found in branch j. The root
-    tries only its first candidate {1..s} (see the module docstring). Both
-    prunes cut only failing subtrees, so the DFS meets solutions in the
-    same order and returns the same witness.
+    tries only its first candidate {1..s} (see the module docstring).
+
+    At the nodes one and two levels below the root, with chosen members
+    C = {U0} or {U0, U1}, the whole orbit of j under G, the product of
+    Sym(atom) over the atoms of the Venn partition of [n] by C, is dropped
+    from `allowed` and from the node's untried candidates. That is sound
+    while `allowed` is a union of G-orbits: a permutation in G fixes every
+    member of C and maps `allowed` onto itself, so it maps a covering
+    holding C and an image of j inside `allowed` to one holding C and j,
+    which branch j would have found. Dropping whole orbits keeps `allowed`
+    a union of orbits, and a child's group is a subgroup of its parent's,
+    so each child inherits the invariant from the first level, where every
+    index is allowed. The orbit of an s-set is the set of s-sets that meet
+    each atom in as many elements (`_orbit_masks`). The first level's map,
+    C = {U0} with U0 = universe[0], does not depend on d and is built once
+    here as `orbit_of`; the second level's is built when the search enters
+    the node and lives in its stack frame. Deeper levels drop j alone: a
+    third level cost more to build than it saved on the benchmark triples.
+
+    Every prune cuts only subtrees that hold no solution, so the DFS meets
+    solutions in the same order and returns the same witness; only the
+    node count falls.
     """
 
     def __init__(self, params: Parameters, cap: int):
@@ -135,6 +184,7 @@ class _Search:
         self.columns = columns = incidence_columns(SetFamily(n, self.universe))
         self.candidates_for = [reduce(and_, [columns[e - 1] for e in elements_of(a)])
                                for a in bit_of]
+        self.orbit_of = _orbit_masks(self.universe, (self.universe[0],))
         self.nodes = 0
 
     def family(self, selector: int) -> SetFamily:
@@ -148,18 +198,21 @@ class _Search:
         its first candidate, universe[0] = {1..s}; one member shatters no
         probe, so that branch needs no test, and every index starts allowed.
         Below it the walk keeps an explicit stack of (missing, chosen,
-        state, allowed, live, low) frames, one per chosen member, so a
-        covering of any size fits: `missing` is the bitmap of uncovered
+        state, allowed, live, low, orbit_of) frames, one per chosen member,
+        so a covering of any size fits: `missing` is the bitmap of uncovered
         k-sets, `chosen` that of the universe indices taken, `live` a
-        node's untried candidates and `low` the one its child took. Nodes
-        are visited in the order of the recursive walk and counted in a
-        local, added to `nodes` on return.
+        node's untried candidates, `low` the one its child took and
+        `orbit_of` the node's orbit masks, None below the second level. A
+        failed branch drops its whole orbit from `allowed` and `live` at
+        the first two levels, and only itself below them. Nodes are
+        visited in the order of the recursive walk and counted in a local,
+        added to `nodes` on return.
         """
         words, ones = _pattern_words(self.universe, self.n, d)
         guard = ones << (1 << (d + 1))
         coverage_of, candidates_for = self.coverage_of, self.candidates_for
         missing, chosen, state, allowed = self.all_covered & ~coverage_of[0], 1, words[0], -1
-        nodes, stack = 1, []
+        orbit_of, nodes, stack = self.orbit_of, 1, []
         while True:
             nodes += 1
             if not missing:
@@ -173,16 +226,23 @@ class _Search:
                     j = low.bit_length() - 1
                     grown = state | words[j]
                     if not (grown + ones) & guard:
-                        stack.append((missing, chosen, state, allowed, live, low))
+                        stack.append((missing, chosen, state, allowed, live, low, orbit_of))
                         missing, chosen, state = missing & ~coverage_of[j], chosen | low, grown
+                        orbit_of = None if len(stack) > 1 else _orbit_masks(
+                            self.universe, (self.universe[0], self.universe[j]))
                         break
-                    allowed ^= low
                 elif stack:
-                    missing, chosen, state, allowed, live, low = stack.pop()
-                    allowed ^= low
+                    missing, chosen, state, allowed, live, low, orbit_of = stack.pop()
+                    j = low.bit_length() - 1
                 else:
                     self.nodes += nodes
                     return None
+                if orbit_of is None:
+                    allowed ^= low
+                else:
+                    drop = orbit_of[j]
+                    allowed &= ~drop
+                    live &= ~drop
 
 
 def exists_covering_with_vc_at_most(

@@ -11,27 +11,30 @@ kernel that finds a valid but non-canonical witness fails here. The
 oracle reference is the plain DFS, without the packed search's
 refuted-sibling exclusion and root symmetry; the packed search must return
 the same witness or None on every case and may visit no more nodes than
-the reference. The `check ufp` command is held to the face reference too:
-its text verdict, which stops at the first member without a face, must
-name the reference's violator, and its JSON must be the full
-`unique_face` report. The incidence table is held to the element-by-member
-scan and the JSON writer to `json.dumps`. Property 3 of the recursive
-family, checked one lowering step per member, is held to the scan of every
-lowered top value. The oracle's packed kernel is held to the plain
-definitions too: its coverage and candidate tables to subset tests, each
-pattern word to the trace of its member on every probe, and the one-add
-shattering test to `vc_dimension` on random subfamilies. The explore CSV
-is held to `csv.writer`. The text reader, which decodes member lines
-through a table of element spellings, is held to the per-line reader it
-replaced, an int() parse with a spelling round trip: on written and
-mutated files both return the same family or raise the same message. The
-face verdict, decided by co-singletons, is held to the face reference on
-families built to have faceless members.
+the reference. The search's orbit exclusion is held the same way to the
+packed search without it, and its orbit masks to the images of each member
+under every permutation that fixes the chosen members. The `check ufp`
+command is held to the face reference too: its text verdict, which stops
+at the first member without a face, must name the reference's violator,
+and its JSON must be the full `unique_face` report. The incidence table is
+held to the element-by-member scan and the JSON writer to `json.dumps`.
+Property 3 of the recursive family, checked one lowering step per member,
+is held to the scan of every lowered top value. The oracle's packed kernel
+is held to the plain definitions too: its coverage and candidate tables to
+subset tests, each pattern word to the trace of its member on every probe,
+and the one-add shattering test to `vc_dimension` on random subfamilies.
+The explore CSV is held to `csv.writer`. The text reader, which decodes
+member lines through a table of element spellings, is held to the per-line
+reader it replaced, an int() parse with a spelling round trip: on written
+and mutated files both return the same family or raise the same message.
+The face verdict, decided by co-singletons, is held to the face reference
+on families built to have faceless members.
 """
 
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import random
@@ -65,7 +68,7 @@ from vccover.families import (
     read_family,
     write_family_json,
 )
-from vccover.oracle import _pattern_words, _Search, oracle_D
+from vccover.oracle import _orbit_masks, _pattern_words, _Search, oracle_D
 from vccover.vc import _shattered_walk, shatters
 from vccover.verify import ExplorationRow, _interpolation_violation, explore, rows_to_csv
 
@@ -665,6 +668,110 @@ def test_oracle_search_matches_reference():
                     assert stats["nodes"] <= reference.nodes, (k, s, n, d)
                     cases += 1
     assert cases == 152
+
+
+def sibling_exclusion_search(search: _Search, d: int) -> tuple[SetFamily | None, int]:
+    """The packed DFS with refuted-sibling exclusion and root symmetry only.
+
+    The search as it was before orbit exclusion: a failed branch leaves
+    `allowed` alone, never its orbit. Returns the first covering with
+    VC <= d in DFS order, or None, and the nodes visited.
+    """
+    words, ones = _pattern_words(search.universe, search.n, d)
+    guard = ones << (1 << (d + 1))
+    coverage_of, candidates_for = search.coverage_of, search.candidates_for
+    missing, chosen, state, allowed = search.all_covered & ~coverage_of[0], 1, words[0], -1
+    nodes, stack = 1, []
+    while True:
+        nodes += 1
+        if not missing:
+            return search.family(chosen), nodes
+        live = candidates_for[(missing & -missing).bit_length() - 1] & allowed
+        while True:
+            if live:
+                low = live & -live
+                live ^= low
+                j = low.bit_length() - 1
+                grown = state | words[j]
+                if not (grown + ones) & guard:
+                    stack.append((missing, chosen, state, allowed, live, low))
+                    missing, chosen, state = missing & ~coverage_of[j], chosen | low, grown
+                    break
+                allowed ^= low
+            elif stack:
+                missing, chosen, state, allowed, live, low = stack.pop()
+                allowed ^= low
+            else:
+                return None, nodes
+
+
+def test_orbit_exclusion_matches_sibling_exclusion():
+    triples = [(k, s, n) for n in range(1, 9) for s in range(1, n + 1)
+               if math.comb(n, s) <= 70 for k in range(1, s + 1)]
+    triples += [(2, 4, 8), (3, 5, 8), (2, 6, 9), (2, 4, 9), (2, 5, 8)]
+    cases = fewer = 0
+    for k, s, n in dict.fromkeys(triples):
+        params = Parameters(k, s, n)
+        for d in range(min(s, n - s) + 1):
+            expected, reference_nodes = sibling_exclusion_search(_Search(params, 126), d)
+            stats: dict = {}
+            assert exists_covering_with_vc_at_most(params, d, cap=126, stats=stats) == expected, \
+                (k, s, n, d)
+            assert stats["nodes"] <= reference_nodes, (k, s, n, d)
+            fewer += stats["nodes"] < reference_nodes
+            cases += 1
+    assert cases == 289
+    assert fewer > 0
+
+
+def test_orbit_masks_match_permutation_images():
+    cases = 0
+    for n in range(1, 7):
+        perms = [dict(enumerate(p, 1)) for p in itertools.permutations(range(n))]
+        for s in range(1, n + 1):
+            universe = list(iter_fixed_size_masks(n, s))
+            index = {m: j for j, m in enumerate(universe)}
+            image = [[sum(1 << perm[e] for e in elements_of(m)) for m in universe]
+                     for perm in perms]
+
+            def orbit(fixed: tuple[int, ...], j: int) -> int:
+                return sum({1 << index[images[j]] for images in image
+                            if all(images[f] == universe[f] for f in fixed)})
+
+            search = _Search(Parameters(1, s, n), len(universe))
+            assert search.orbit_of == [orbit((0,), j) for j in range(len(universe))], (s, n)
+            for u1 in range(len(universe)):
+                masks = _orbit_masks(universe, (universe[0], universe[u1]))
+                assert masks == [orbit((0, u1), j) for j in range(len(universe))], (s, n, u1)
+                cases += 1
+    assert cases == 120
+
+
+def test_second_level_orbits_fix_both_chosen_members():
+    # Orbits that fix only the second member are coarser and unsound, yet on
+    # every case above they still meet the same first solution, so check
+    # the members each level-2 map is built for: {1..s} and the first
+    # level's branch, a holder of the smallest k-set outside {1..s}.
+    chosen = []
+
+    def spy(universe, members):
+        chosen.append(members)
+        return _orbit_masks(universe, members)
+
+    for triple in [(2, 4, 8), (2, 6, 9), (3, 4, 7)]:
+        search = _Search(Parameters(*triple), 126)
+        missing = search.all_covered & ~search.coverage_of[0]
+        first = (missing & -missing).bit_length() - 1
+        holders = {m for j, m in enumerate(search.universe) if search.candidates_for[first] >> j & 1}
+        chosen.clear()
+        with mock.patch("vccover.oracle._orbit_masks", spy):
+            for d in range(search.bound + 1):
+                if search.search(d) is not None:
+                    break
+        assert chosen, triple
+        for members in chosen:
+            assert len(members) == 2 and members[0] == search.universe[0], triple
+            assert members[1] in holders, triple
 
 
 def small_universes():

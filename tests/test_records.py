@@ -29,7 +29,7 @@ def test_readme_library_reprs():
     assert repr(oracle_D(Parameters(2, 3, 5))) == (
         "OracleResult(params=Parameters(k=2, s=3, n=5), value=2, "
         "witness=SetFamily(n=5, members=(7, 11, 13, 19, 21, 25), uniform_size=3), "
-        "nodes_explored=25, method='branch-and-bound')"
+        "nodes_explored=16, method='branch-and-bound')"
     )
     assert repr(lower_bound_certificate(2, 3, 14)) == (
         "Certificate(params=Parameters(k=2, s=3, n=14), kind='lower-vc-ge-k', inequality_lhs=15, "
