@@ -5,7 +5,10 @@ of s-subsets of [n] that cover every k-subset: explicit constructions,
 exhaustive small-scale search, and exact-arithmetic bound certificates.
 
 The exported names are loaded on first access (PEP 562), so importing the
-package, or one submodule of it, does not import the others.
+package loads no submodule, and importing a submodule loads only the modules
+it imports: ``vccover.verify`` loads ``bitsets``, ``constructions``,
+``families`` and ``vc``, while ``vccover.cli`` loads none until a command
+runs.
 """
 
 import importlib

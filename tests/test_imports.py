@@ -32,8 +32,16 @@ NEVER_AT_STARTUP = {
     "dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "csv"
 }
 
-COMMANDS = {
+# Top-level help and usage errors: argparse alone answers them.
+PARSER_ONLY = {
     "help": ["--help"],
+    "h": ["-h"],
+    "bare": [],
+    "bogus": ["bogus"],
+}
+
+COMMANDS = {
+    **PARSER_ONLY,
     "construct": ["construct", "hypercube", "-k", "2", "-m", "3"],
     "check": ["check", "covering", "--family", "{family}", "-k", "2"],
     "vcdim": ["vcdim", "--family", "{family}"],
@@ -73,6 +81,8 @@ def test_command_loads_only_what_it_uses(command, tmp_path):
     assert not NEVER_LOADED & loaded
     assert ("vccover.oracle" in loaded) == (command == "oracle")
     assert ("vccover.vc" in loaded) == (command == "vcdim")
+    library = {m for m in loaded if m.startswith("vccover.")} - {"vccover.cli"}
+    assert (not library) == (command in PARSER_ONLY), library
 
 
 @pytest.mark.parametrize("command", sorted(STARTUP_COMMANDS))
@@ -111,6 +121,18 @@ def test_package_import_loads_no_submodule():
         ).stdout.split()
     )
     assert {m for m in loaded if m.startswith("vccover.")} == set()
+
+
+def test_module_run_for_help_imports_no_library_module():
+    # `python -m vccover --help` is the start the bench times. runpy executes
+    # vccover.__main__ without importing it, so -X importtime does not list it.
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "vccover", "--help"],
+        capture_output=True, text=True, timeout=180, check=True,
+    )
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {m for m in imported if m.split(".")[0] == "vccover"} == {"vccover", "vccover.cli"}
 
 
 def test_every_export_is_the_defining_object():
