@@ -11,27 +11,28 @@ Two independent routes:
 The branch-and-bound packs the traces of the partial family on every
 (d+1)-probe into one int, a field of pattern bits per probe (see
 `_Search`), so adding a member is one OR and the shattering test for all
-probes is one addition. Symmetry prunes the search further. Let G be the
-group of permutations of [n] that fix every member chosen at a node: the
-product of Sym(atom) over the atoms of the Venn partition of [n] by those
-members. G maps coverings with VC <= d to coverings with VC <= d. At the
-root, Sym({k+1..n}) fixes the root's k-set {1..k} and permutes its
-s-supersets transitively, so a covering exists iff one contains {1..s},
-the root's first branch; the other root branches are never entered. One
-and two levels down, a branch j that fails, by a shattered probe or an
-empty subtree, fails for every image of j under G too, so j's whole
-G-orbit leaves the node's later branches and everything below them.
-Deeper down only j itself leaves, as "VC <= d" is hereditary. Every prune
-drops only members that lie in no covering the node can still reach, so
-the search meets solutions in the same order as the plain DFS and returns
-the same witness; only the node count falls.
+probes is one addition. Symmetry prunes the search further, by one rule.
+Let G be the group of permutations of [n] that fix every member chosen at
+a node: the product of Sym(atom) over the atoms of the Venn partition of
+[n] by those members. G maps coverings with VC <= d to coverings with
+VC <= d, so a branch j that fails, by a shattered probe or an empty
+subtree, fails for every image of j under G too, and j's whole orbit,
+under G or any subgroup of it, leaves the node's later branches and
+everything below them. At the root nothing is chosen and G = Sym([n]),
+whose one orbit on s-sets is the whole universe: if the root's first
+branch {1..s} fails, no covering exists. The root and the nodes one and
+two levels down use G itself; deeper nodes use the trivial subgroup, so
+only j itself leaves. Every prune drops only members that lie in no
+covering the node can still reach, so the search meets solutions in the
+same order as the plain DFS and returns the same witness; only the node
+count falls.
 
 One `_Search` per (k, s, n) serves both routes: its universe, coverage
-table, candidate bitmaps and first-level orbit masks are built once, after
-the cap check, from the package's own subset enumeration and incidence
-table, and serve every d of the scan. Only the pattern words are built per d, each member's word as
+table and candidate bitmaps are built once, after the cap check, from the
+package's own subset enumeration and incidence table, and serve every d of
+the scan. Only the pattern words are built per d, each member's word as
 one binary string read by one `int(..., 2)`, and one method, `search(d)`,
-runs the whole search for that d.
+runs the whole search for that d, building its orbit maps as it goes.
 
 Both routes are sequential and deterministic: branches and subfamilies run
 in canonical order, so value, witness and node count never depend on the
@@ -96,18 +97,19 @@ def _pattern_words(universe: list[int], n: int, d: int) -> tuple[list[int], int]
     return words, int(fields[0] * len(tables), 2)
 
 
-def _orbit_masks(universe: list[int], chosen: tuple[int, ...]) -> list[int]:
+def _orbit_masks(universe: list[int], chosen: int) -> list[int]:
     """Each member's orbit under the symmetries of [n] that fix every chosen member.
 
-    That group is the product of Sym(atom) over the atoms of the Venn
-    partition of [n] by the chosen members, so two s-sets share an orbit
-    exactly when they meet every atom in the same number of elements; the
-    atom outside every chosen member is determined by the others, as all
-    members have size s. Entry j is the bitmask of universe indices in
-    universe[j]'s orbit.
+    `chosen` is a selector of universe indices. The group is the product of
+    Sym(atom) over the atoms of the Venn partition of [n] by the chosen
+    members, so two s-sets share an orbit exactly when they meet every atom
+    in the same number of elements; the atom outside every chosen member is
+    determined by the others, as all members have size s. With no member
+    chosen the group is Sym([n]) and every entry is the all-ones mask.
+    Entry j is the bitmask of universe indices in universe[j]'s orbit.
     """
     atoms = [-1]
-    for c in chosen:
+    for c in [m for j, m in enumerate(universe) if chosen >> j & 1]:
         atoms = [part for a in atoms for part in (a & c, a & ~c)]
     atoms = [a for a in atoms if a > 0]
     keys = [tuple([(m & a).bit_count() for a in atoms]) for m in universe]
@@ -126,8 +128,7 @@ class _Search:
     universe[j], as the OR of their index bits over `iter_submasks`;
     `candidates_for[i]`, the bitmap of the members holding k-set i, as the
     AND of its elements' columns in the universe's incidence table, the
-    rule `covering.py` uses; and `orbit_of`, the first level's orbit masks
-    (below). `bound` is min(s, n - s), above which no
+    rule `covering.py` uses. `bound` is min(s, n - s), above which no
     subfamily's VC-dimension can lie, and `family(selector)` the subfamily
     whose universe indices are the selector's bits. `search(d)` builds its d's
     pattern words (`_pattern_words`) and runs the DFS; `nodes` counts the
@@ -142,28 +143,29 @@ class _Search:
     carries, so one addition tests every probe.
 
     `allowed` is a bitmask of the universe indices a subtree may still use.
-    Once branch j under a node fails, by a shattered probe or an empty
-    subtree, j is dropped from `allowed` for the node's later siblings and
-    everything below them: by heredity, any covering with VC <= d holding
-    the node's members and j would have been found in branch j. The root
-    tries only its first candidate {1..s} (see the module docstring).
+    A node with chosen members C has the group G of the permutations of [n]
+    that fix every member of C, the product of Sym(atom) over the atoms of
+    the Venn partition of [n] by C. Once branch j under a node fails, by a
+    shattered probe or an empty subtree, the orbit of j under G is dropped
+    from `allowed` and from the node's untried candidates, for its later
+    siblings and everything below them. That is sound while `allowed` is a
+    union of G-orbits: a permutation in G fixes every member of C and maps
+    `allowed` onto itself, so it maps a covering holding C and an image of
+    j inside `allowed` to one holding C and j, which branch j would have
+    found, as by heredity the DFS cuts no partial family that a covering
+    with VC <= d extends. Dropping whole orbits keeps `allowed` a union of
+    orbits, a child's group is a subgroup of its parent's, and any subgroup
+    of G may stand in for it, as its orbits split G's; so each node
+    inherits the invariant from the root, where every index is allowed. At
+    the root C is empty and G = Sym([n]) has one orbit, the whole universe,
+    so a failed first branch {1..s} ends the search.
 
-    At the nodes one and two levels below the root, with chosen members
-    C = {U0} or {U0, U1}, the whole orbit of j under G, the product of
-    Sym(atom) over the atoms of the Venn partition of [n] by C, is dropped
-    from `allowed` and from the node's untried candidates. That is sound
-    while `allowed` is a union of G-orbits: a permutation in G fixes every
-    member of C and maps `allowed` onto itself, so it maps a covering
-    holding C and an image of j inside `allowed` to one holding C and j,
-    which branch j would have found. Dropping whole orbits keeps `allowed`
-    a union of orbits, and a child's group is a subgroup of its parent's,
-    so each child inherits the invariant from the first level, where every
-    index is allowed. The orbit of an s-set is the set of s-sets that meet
-    each atom in as many elements (`_orbit_masks`). The first level's map,
-    C = {U0} with U0 = universe[0], does not depend on d and is built once
-    here as `orbit_of`; the second level's is built when the search enters
-    the node and lives in its stack frame. Deeper levels drop j alone: a
-    third level cost more to build than it saved on the benchmark triples.
+    The orbit of an s-set is the set of s-sets that meet each atom in as
+    many elements: `_orbit_masks` of the node's `chosen` selector builds
+    the map when the search enters a node at the root or one or two levels
+    below it, and the map lives in the node's stack frame. Deeper nodes use
+    the trivial subgroup and drop j alone: a third level cost more to build
+    than it saved on the benchmark triples.
 
     Every prune cuts only subtrees that hold no solution, so the DFS meets
     solutions in the same order and returns the same witness; only the
@@ -184,7 +186,6 @@ class _Search:
         self.columns = columns = incidence_columns(SetFamily(n, self.universe))
         self.candidates_for = [reduce(and_, [columns[e - 1] for e in elements_of(a)])
                                for a in bit_of]
-        self.orbit_of = _orbit_masks(self.universe, (self.universe[0],))
         self.nodes = 0
 
     def family(self, selector: int) -> SetFamily:
@@ -194,31 +195,30 @@ class _Search:
     def search(self, d: int) -> SetFamily | None:
         """The first covering with VC <= d in DFS order, or None.
 
-        The root branches on the k-set {1..k} and, by symmetry, enters only
-        its first candidate, universe[0] = {1..s}; one member shatters no
-        probe, so that branch needs no test, and every index starts allowed.
-        Below it the walk keeps an explicit stack of (missing, chosen,
-        state, allowed, live, low, orbit_of) frames, one per chosen member,
-        so a covering of any size fits: `missing` is the bitmap of uncovered
-        k-sets, `chosen` that of the universe indices taken, `live` a
-        node's untried candidates, `low` the one its child took and
-        `orbit_of` the node's orbit masks, None below the second level. A
-        failed branch drops its whole orbit from `allowed` and `live` at
-        the first two levels, and only itself below them. Nodes are
+        The walk starts at the root, with every k-set uncovered, nothing
+        chosen and every index allowed, and keeps an explicit stack of
+        (missing, chosen, state, allowed, live, low, orbit_of) frames, one
+        per chosen member, so a covering of any size fits: `missing` is the
+        bitmap of uncovered k-sets, `chosen` that of the universe indices
+        taken, `state` their packed traces, `live` a node's untried
+        candidates, `low` the one its child took and `orbit_of` the node's
+        orbit masks, built for its `chosen` at stack depth <= 2 and None
+        below. A failed branch drops its orbit from `allowed` and `live`;
+        with no map its orbit is itself, and `allowed ^= low` drops it. Nodes are
         visited in the order of the recursive walk and counted in a local,
         added to `nodes` on return.
         """
         words, ones = _pattern_words(self.universe, self.n, d)
         guard = ones << (1 << (d + 1))
         coverage_of, candidates_for = self.coverage_of, self.candidates_for
-        missing, chosen, state, allowed = self.all_covered & ~coverage_of[0], 1, words[0], -1
-        orbit_of, nodes, stack = self.orbit_of, 1, []
+        missing, chosen, state, allowed, nodes, stack = self.all_covered, 0, 0, -1, 0, []
         while True:
             nodes += 1
             if not missing:
                 self.nodes += nodes
                 return self.family(chosen)
             live = candidates_for[(missing & -missing).bit_length() - 1] & allowed
+            orbit_of = _orbit_masks(self.universe, chosen) if len(stack) <= 2 else None
             while True:
                 if live:
                     low = live & -live
@@ -228,8 +228,6 @@ class _Search:
                     if not (grown + ones) & guard:
                         stack.append((missing, chosen, state, allowed, live, low, orbit_of))
                         missing, chosen, state = missing & ~coverage_of[j], chosen | low, grown
-                        orbit_of = None if len(stack) > 1 else _orbit_masks(
-                            self.universe, (self.universe[0], self.universe[j]))
                         break
                 elif stack:
                     missing, chosen, state, allowed, live, low, orbit_of = stack.pop()
@@ -255,10 +253,10 @@ def exists_covering_with_vc_at_most(
 
     Exhaustive over subfamilies of the full s-uniform family: depth-first,
     always branching on the canonically smallest uncovered k-set, pruning a
-    branch as soon as the partial family shatters any (d+1)-set, never
-    re-entering a refuted sibling and entering only the first root branch
-    (see `_Search`). When ``stats`` is given, the search adds its node
-    count to ``stats["nodes"]``.
+    branch as soon as the partial family shatters any (d+1)-set and never
+    entering a branch in the orbit of a refuted sibling under the
+    symmetries that fix the chosen members (see `_Search`). When ``stats``
+    is given, the search adds its node count to ``stats["nodes"]``.
     """
     bound = min(params.s, params.n - params.s)
     if not (0 <= d <= bound):

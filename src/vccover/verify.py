@@ -187,7 +187,7 @@ def _interpolation_violation(members: tuple[int, ...]) -> tuple[int, int] | None
 
 
 def verify_prop_const(m: int, k: int) -> PropConstReport:
-    """Exhaustively check the four stated properties of the recursive family.
+    """Check the four stated properties of the recursive family.
 
     1. k-covering; 2. unique faces; 3. any member's top element can be
     lowered to any value still above the second-largest element, staying in
@@ -198,8 +198,6 @@ def verify_prop_const(m: int, k: int) -> PropConstReport:
     from .covering import first_faceless, is_k_covering
 
     n = m + k - 1
-    if n > 16:
-        raise ValueError(f"ground size {n} beyond the exhaustive-check range (16)")
     fam = recursive_family(m, k)
     cover = is_k_covering(fam, k)
     violator = first_faceless(fam)

@@ -738,40 +738,49 @@ def test_orbit_masks_match_permutation_images():
                 return sum({1 << index[images[j]] for images in image
                             if all(images[f] == universe[f] for f in fixed)})
 
-            search = _Search(Parameters(1, s, n), len(universe))
-            assert search.orbit_of == [orbit((0,), j) for j in range(len(universe))], (s, n)
-            for u1 in range(len(universe)):
-                masks = _orbit_masks(universe, (universe[0], universe[u1]))
-                assert masks == [orbit((0, u1), j) for j in range(len(universe))], (s, n, u1)
+            # fixed = () is the root's map: every s-set is an image of every other.
+            for fixed in [(), (0,), *[(0, u1) for u1 in range(1, len(universe))]]:
+                masks = _orbit_masks(universe, sum(1 << f for f in fixed))
+                assert masks == [orbit(fixed, j) for j in range(len(universe))], (s, n, fixed)
                 cases += 1
-    assert cases == 120
+    assert cases == 141
 
 
 def test_second_level_orbits_fix_both_chosen_members():
-    # Orbits that fix only the second member are coarser and unsound, yet on
-    # every case above they still meet the same first solution, so check
-    # the members each level-2 map is built for: {1..s} and the first
-    # level's branch, a holder of the smallest k-set outside {1..s}.
-    chosen = []
+    # Orbits that fix only the newest member are coarser and unsound, yet on
+    # every case above they still meet the same first solution, so check the
+    # selector each map is built for. Every search builds the root's map for
+    # no member, then the map for {1..s}, the root's only branch, then one for
+    # {1..s} and each entered level-1 branch, a holder of the smallest k-set
+    # outside {1..s}, in DFS order; no map is built deeper down.
+    selectors = []
 
-    def spy(universe, members):
-        chosen.append(members)
-        return _orbit_masks(universe, members)
+    def spy(universe, chosen):
+        selectors.append(chosen)
+        return _orbit_masks(universe, chosen)
 
     for triple in [(2, 4, 8), (2, 6, 9), (3, 4, 7)]:
         search = _Search(Parameters(*triple), 126)
         missing = search.all_covered & ~search.coverage_of[0]
         first = (missing & -missing).bit_length() - 1
-        holders = {m for j, m in enumerate(search.universe) if search.candidates_for[first] >> j & 1}
-        chosen.clear()
+        selectors.clear()
         with mock.patch("vccover.oracle._orbit_masks", spy):
             for d in range(search.bound + 1):
                 if search.search(d) is not None:
                     break
-        assert chosen, triple
-        for members in chosen:
-            assert len(members) == 2 and members[0] == search.universe[0], triple
-            assert members[1] in holders, triple
+        starts = [i for i, chosen in enumerate(selectors) if chosen == 0]
+        assert starts[0] == 0 and len(starts) == d + 1, triple
+        second_level = 0
+        for a, b in zip(starts, [*starts[1:], len(selectors)]):
+            _, first_level, *below = selectors[a:b]
+            assert first_level == 1, triple
+            branches = [chosen ^ 1 for chosen in below]
+            assert all(chosen & 1 for chosen in below), triple
+            assert all(branch.bit_count() == 1 and search.candidates_for[first] & branch
+                       for branch in branches), triple
+            assert branches == sorted(set(branches)), triple
+            second_level += len(branches)
+        assert second_level, triple
 
 
 def small_universes():

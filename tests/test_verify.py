@@ -145,6 +145,9 @@ class TestPropConst:
             for k in range(1, 4):
                 assert verify_prop_const(m, k).passed, (m, k)
 
+    def test_ground_beyond_sixteen(self):
+        assert verify_prop_const(20, 5).passed  # n = 24, 18,832 members
+
     def test_vacuous_tail_when_ground_is_narrow(self):
         report = verify_prop_const(2, 2)  # n=3, 2k=4 >= 3
         assert not report.tail_checked
@@ -153,8 +156,9 @@ class TestPropConst:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             verify_prop_const(1, 1)
-        with pytest.raises(ValueError):
-            verify_prop_const(14, 4)
+        assert verify_prop_const(14, 4).passed  # n = 17
+        with pytest.raises(ValueError, match="ground size 257 exceeds maximum 256"):
+            verify_prop_const(250, 8)
 
 
 class TestMainTheorem:
