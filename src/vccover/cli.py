@@ -1,28 +1,34 @@
 """Command-line entry point.
 
-Every command takes one path: argparse parses and validates the options,
-the command's handler returns ``(exit code, data)``, and ``main`` writes the
-data once, to --out or stdout. Diagnostics such as node counts and wall
-time go to stderr, so the data stream is byte-reproducible across runs and
-worker counts. Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage
-error, 3 feasibility cap exceeded or out of memory.
+A command line reaches its handler by one of two paths, which build the
+same namespace from the same command and option tables. ``_parse_plain``
+reads a well-formed named command straight from argv: the command and its
+leaf spelled exactly, each option of that level at most once with one
+value, each value converted by the option's own type. That skips
+importing argparse (which loads gettext and locale) and building a
+parser, a few milliseconds of every start. Any other line (help, an
+abbreviated flag, ``--opt=value``, a value starting with ``-``, any error)
+goes to argparse, so help texts, usage errors and exit codes are
+argparse's own. The argparse parser holds only the command being run:
+every other command keeps its help line but gets no leaves or options.
 
-Start-up is most of the cost of a short command, so the parser holds only
-the command being run: every other command keeps its help line but gets no
-leaves or options. This module imports no library module, so top-level help
-and usage errors load none. Each handler imports the library modules it
-calls (json only on JSON paths). A named command loads ``families`` first,
-through the common options' cap defaults, before any other parser object:
-imported among the parser objects, it raised the oracle commands' peak RSS
-by up to 0.15 MB. The records are named tuples or slotted classes, whose
-import pulls in no inspect or ast.
+The command's handler returns ``(exit code, data)``, and ``main`` writes
+the data once, to --out or stdout. Diagnostics such as node counts and
+wall time go to stderr, so the data stream is byte-reproducible across
+runs and worker counts. Exit codes: 0 success/PASS, 1 verification FAIL,
+2 usage error, 3 feasibility cap exceeded or out of memory.
+
+This module imports no library module, so top-level help and usage
+errors load none. Each handler imports the library modules it calls
+(json only on JSON paths). The records are named tuples or slotted
+classes, whose import pulls in no inspect or ast.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
+from types import SimpleNamespace
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -48,25 +54,12 @@ def _n_range(text: str) -> range:
         lo, hi = map(int, text.split(":")) if ":" in text else (int(text),) * 2
     except ValueError:
         lo, hi = 1, 0
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"expected N or LO:HI, got {text!r}")
-    if lo < 1:
-        raise argparse.ArgumentTypeError(f"expected N or LO:HI, got {text!r}: ground sizes start at 1")
+    if lo > hi or lo < 1:
+        import argparse
+
+        raise argparse.ArgumentTypeError(
+            f"expected N or LO:HI, got {text!r}" + ("" if lo > hi else ": ground sizes start at 1"))
     return range(lo, hi + 1)
-
-
-_INT = {"type": int, "required": True}
-# Each option's argparse keywords, keyed by its flag. -n has two specs:
-# explore's "-n range" takes a range N or LO:HI, every other -n a required int.
-_OPTIONS = {
-    "-k": _INT, "-s": _INT, "-n": _INT, "-m": _INT, "-l": _INT,
-    "-n range": {"type": _n_range, "required": True,
-                 "help": "ground size or inclusive range LO:HI"},
-    "--family": {"required": True},
-    "--fallback-enum": {"action": "store_true",
-                        "help": "use the power-set enumeration oracle instead of branch-and-bound"},
-    "--witness-out": {"help": "also write the upper-bound witness family here"},
-}
 
 
 def _positive_int(text: str) -> int:
@@ -75,8 +68,36 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
+
+
+_INT = {"type": int, "required": True}
+# Each option's argparse keywords, keyed by its flag; a dest's default is
+# None unless given. -n has two specs: explore's "-n range" takes a range
+# N or LO:HI, every other -n a required int. _common_parser fills the cap
+# defaults into the common options' help.
+_OPTIONS = {
+    "--out": {"help": "write the data stream to this file instead of stdout"},
+    "--format": {"default": "text", "choices": ("text", "json", "csv")},
+    "--cap": {"type": _positive_int,
+              "help": "feasibility cap on the universe size C(n,s) for oracle search "
+                      "(default {}; {} with --fallback-enum)"},
+    "--workers": {"type": _positive_int, "default": 1,
+                  "help": "accepted for compatibility and ignored: every command runs "
+                          "sequentially, so results are identical for any count"},
+    "-k": _INT, "-s": _INT, "-n": _INT, "-m": _INT, "-l": _INT,
+    "-n range": {"type": _n_range, "required": True,
+                 "help": "ground size or inclusive range LO:HI"},
+    "--family": {"required": True},
+    "--fallback-enum": {"action": "store_true", "default": False,
+                        "help": "use the power-set enumeration oracle instead of branch-and-bound"},
+    "--witness-out": {"help": "also write the upper-bound witness family here"},
+}
+# The options every command and leaf takes.
+_COMMON = ("--out", "--format", "--cap", "--workers")
 
 
 def _load_family(path: str):
@@ -98,7 +119,7 @@ def _json_line(payload: object) -> str:
     return json.dumps(payload) + "\n"
 
 
-def _run_construct(args: argparse.Namespace) -> tuple[int, str]:
+def _run_construct(args) -> tuple[int, str]:
     from . import constructions
     from .families import write_family, write_family_json
 
@@ -111,7 +132,7 @@ def _run_construct(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, write_family(fam)
 
 
-def _run_check(args: argparse.Namespace) -> tuple[int, str]:
+def _run_check(args) -> tuple[int, str]:
     from .bitsets import elements_of
     from .covering import first_faceless, is_k_covering, unique_face
 
@@ -133,7 +154,7 @@ def _run_check(args: argparse.Namespace) -> tuple[int, str]:
     return code, f"FAIL {failure}: {' '.join(str(e) for e in elements_of(witness))}\n"
 
 
-def _run_vcdim(args: argparse.Namespace) -> tuple[int, str]:
+def _run_vcdim(args) -> tuple[int, str]:
     from .vc import vc_dimension
 
     report = vc_dimension(_load_family(args.family))
@@ -142,7 +163,7 @@ def _run_vcdim(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, f"{report.dimension}\n"
 
 
-def _run_oracle(args: argparse.Namespace) -> tuple[int, str]:
+def _run_oracle(args) -> tuple[int, str]:
     from .families import Parameters, write_family
     from .oracle import oracle_D
 
@@ -159,7 +180,7 @@ def _run_oracle(args: argparse.Namespace) -> tuple[int, str]:
     return EXIT_OK, f"{result.value}\n" + write_family(result.witness)
 
 
-def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
+def _run_verify(args) -> tuple[int, str]:
     from .verify import (
         lower_bound_certificate,
         upper_bound_certificate,
@@ -203,7 +224,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[int, str]:
     return code, "".join(line + "\n" for line in lines)
 
 
-def _run_explore(args: argparse.Namespace) -> tuple[int, str]:
+def _run_explore(args) -> tuple[int, str]:
     from .verify import explore, monotonicity_scan, rows_to_csv, stab_upper, surjectivity_scan
 
     rows = explore(args.k, args.s, args.n, cap=args.cap)
@@ -243,30 +264,27 @@ _COMMANDS = {
 }
 
 
-def _common_parser() -> argparse.ArgumentParser:
+def _common_parser():
     """The options every command and leaf takes, as an argparse parent."""
+    import argparse
+
     from .families import DEFAULT_CAP, DEFAULT_ENUM_CAP
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the data stream to this file instead of stdout")
-    common.add_argument("--format", default="text", choices=("text", "json", "csv"))
-    common.add_argument("--cap", type=_positive_int,
-                        help="feasibility cap on the universe size C(n,s) for oracle search "
-                             f"(default {DEFAULT_CAP}; {DEFAULT_ENUM_CAP} with --fallback-enum)")
-    common.add_argument("--workers", type=_positive_int, default=1,
-                        help="accepted for compatibility and ignored: every command runs "
-                             "sequentially, so results are identical for any count")
+    for option in _COMMON:
+        spec = _OPTIONS[option]
+        help_text = spec.get("help") and spec["help"].format(DEFAULT_CAP, DEFAULT_ENUM_CAP)
+        common.add_argument(option, **{**spec, "help": help_text})
     return common
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]):
+    import argparse
+
     # Only the command that argv names (its first token that is one) gets its
     # leaves and options; every other keeps its help line, so the top-level
     # help and usage errors read the same as with every command built.
-    named = next((arg for arg in argv if arg in _COMMANDS), None)
-    # Built first, so a named command imports the library before any other
-    # parser object (see the module docstring).
-    common = _common_parser() if named else None
+    named = next(filter(_COMMANDS.__contains__, argv), None)
     parser = argparse.ArgumentParser(
         prog="vccover",
         description="Exact VC-dimension engine for covering set families.",
@@ -276,25 +294,58 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         if command != named:
             sub.add_parser(command, help=help_text, add_help=False)
             continue
+        common = _common_parser()
         grouped = isinstance(options, dict)
         p = sub.add_parser(command, parents=[] if grouped else [common], help=help_text)
         p.set_defaults(run=run)
-        if grouped:
-            leaves = p.add_subparsers(dest="what", required=True)
-            targets = [(leaves.add_parser(what, parents=[common]), opts)
-                       for what, opts in options.items()]
-        else:
-            targets = [(p, options)]
-        for target, opts in targets:
+        leaves = grouped and p.add_subparsers(dest="what", required=True)
+        for what, opts in (options if grouped else {command: options}).items():
+            target = leaves.add_parser(what, parents=[common]) if grouped else p
             for option in opts:
                 target.add_argument(option.split()[0], **_OPTIONS[option])
     return parser
 
 
+def _parse_plain(argv: list[str]):
+    """The namespace argparse builds from a well-formed named command, or
+    None for any other line (see the module docstring)."""
+    try:
+        command, *rest = argv
+        _, run, options = _COMMANDS[command]
+        args = SimpleNamespace(command=command, run=run)
+        if isinstance(options, dict):
+            args.what = rest.pop(0)
+            options = options[args.what]
+        specs = {}
+        for option in (*_COMMON, *options):
+            flag = option.split()[0]
+            specs[flag] = spec = _OPTIONS[option]
+            setattr(args, flag.lstrip("-").replace("-", "_"), spec.get("default"))
+        tokens = iter(rest)
+        for flag in tokens:
+            spec = specs.pop(flag)  # so a repeated flag raises too
+            if "action" in spec:
+                value = True
+            else:
+                value = next(tokens)
+                if value.startswith("-") and value != "-":
+                    return None
+                value = spec.get("type", str)(value)
+                if value not in spec.get("choices", [value]):
+                    return None
+            setattr(args, flag.lstrip("-").replace("-", "_"), value)
+    except Exception:  # any fault in the line: argparse parses it again and reports it
+        return None
+    for spec in specs.values():
+        if spec.get("required"):
+            return None
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_plain(argv) or _build_parser(argv).parse_args(argv)
     from .families import FeasibilityError
 
     try:

@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import random
 import subprocess
 import sys
 
@@ -19,7 +20,9 @@ from vccover import (
     write_family,
 )
 from vccover import constructions
-from vccover.cli import _COMMANDS, _OPTIONS, _build_parser, _common_parser, main
+from vccover.cli import (
+    _COMMANDS, _COMMON, _OPTIONS, _build_parser, _common_parser, _parse_plain, main,
+)
 
 CLI = [sys.executable, "-m", "vccover"]
 
@@ -392,7 +395,83 @@ VALID = [
     ["verify", "certificate", "-k", "2", "-s", "3", "-n", "14", "--witness-out", "explore"],
     ["explore", "-k", "2", "-s", "3", "-n", "4:7"],
     ["explore", "-k", "2", "-s", "3", "-n", "7:7"],
+    # The benchmark's command lines.
+    *(line.split() for line in [
+        "verify main -k 2 -s 4",
+        "verify main -k 2 -s 5",
+        "verify main -k 2 -s 6",
+        "verify main -k 4 -s 4",
+        "verify certificate -k 2 -s 3 -n 14",
+        "verify prop-const -m 8 -k 3",
+        "oracle -k 2 -s 4 -n 8 --cap 126",
+        "oracle -k 3 -s 5 -n 8 --cap 126",
+        "oracle -k 2 -s 6 -n 9 --cap 126",
+        "oracle -k 2 -s 4 -n 9 --cap 126",
+        "oracle -k 2 -s 5 -n 8 --cap 126",
+        "oracle -k 2 -s 3 -n 5 --fallback-enum",
+        "explore -k 2 -s 3 -n 3:40 --workers 2",
+        "explore -k 2 -s 4 -n 4:40 --workers 2",
+        "construct witness -k 2 -s 7 -n 100 --out raw/w.vcfam",
+        "construct full -n 22 -s 4 --format json --out raw/f22.json",
+        "construct full -n 18 -s 4 --out raw/f18.vcfam",
+        "construct fk -m 12 -k 3 --format json --out raw/fk.json",
+        "construct hypercube -k 2 -m 3 --out raw/hc.vcfam",
+        "check covering --family in/w.vcfam -k 2",
+        "check ufp --family in/w.vcfam",
+        "check covering --family in/f22.json -k 4",
+        "vcdim --family in/f22.json",
+        "check ufp --family in/f18.vcfam",
+        "vcdim --family in/f18.vcfam",
+        "check covering --family in/fk.json -k 3",
+        "check ufp --family in/fk.json",
+        "vcdim --family in/hc.vcfam",
+    ]),
 ]
+
+# The differential test's tokens: every command, leaf and flag, then
+# abbreviations, --opt=value, attached short values, help, the separator,
+# and values of every kind an option may or may not accept.
+VALUES = ["2", "-3", "0", "two", "-", "3:40", "5:", "json", "xml"]
+TOKENS = [
+    *_COMMANDS,
+    *(leaf for _, _, options in _COMMANDS.values() if isinstance(options, dict) for leaf in options),
+    *dict.fromkeys(option.split()[0] for option in _OPTIONS),
+    "--fam", "--cap=3", "-k2", "-h", "--",
+    *VALUES,
+]
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    """A command and leaf, mostly with each option of that level given a
+    value (mostly one it accepts), then zero to three edits: a token
+    inserted, dropped or replaced by any token, or a flag and value
+    repeated."""
+    command = rng.choice(list(_COMMANDS))
+    options = _COMMANDS[command][2]
+    argv = [command]
+    if isinstance(options, dict):
+        argv.append(rng.choice(list(options)))
+        options = options[argv[-1]]
+    pairs = []
+    for option in (*_COMMON, *options):
+        spec, flag = _OPTIONS[option], option.split()[0]
+        if rng.random() < (0.95 if spec.get("required") else 0.3):
+            likely = "json" if flag == "--format" else "2"
+            value = likely if rng.random() < 0.7 else rng.choice(VALUES)
+            pairs.append([flag] if "action" in spec else [flag, value])
+    rng.shuffle(pairs)
+    argv += [token for pair in pairs for token in pair]
+    for _ in range(rng.choice([0, 0, 1, 2, 3])):
+        edit, at = rng.randrange(4), rng.randrange(len(argv) + 1)
+        if edit == 0:
+            argv.insert(at, rng.choice(TOKENS))
+        elif edit == 1 and at < len(argv):
+            del argv[at]
+        elif edit == 2 and at < len(argv):
+            argv[at] = rng.choice(TOKENS)
+        elif pairs:
+            argv += rng.choice(pairs)
+    return argv
 
 
 def parse_outcome(parse, argv, capsys):
@@ -423,7 +502,43 @@ class TestParserMatchesReference:
 
     @pytest.mark.parametrize("argv", VALID)
     def test_parsed_options_match(self, argv):
+        expected = reference_parser().parse_args(argv)
+        assert _build_parser(argv).parse_args(argv) == expected
+        plain = _parse_plain(argv)
+        assert plain is not None, "a well-formed named command takes the plain path"
+        assert vars(plain) == vars(expected)
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "-k", "2", "-k", "3", "-s", "3", "-n", "5"],
+        ["vcdim", "--fam", "f.vcfam"],
+        ["vcdim", "--family=f.vcfam"],
+        ["oracle", "-k2", "-s", "3", "-n", "5"],
+        ["oracle", "-k", "-3", "-s", "3", "-n", "5"],
+    ])
+    def test_other_spellings_go_to_argparse(self, argv):
+        # argparse accepts each of these; the plain path leaves them to it.
+        assert _parse_plain(argv) is None
         assert _build_parser(argv).parse_args(argv) == reference_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_plain_path_matches_reference(self, seed, capsys):
+        # Wherever the plain path reads a line, argparse accepts it and
+        # builds the same namespace; every other line goes to argparse.
+        rng, reference = random.Random(seed), reference_parser()
+        plain_lines = refused = 0
+        for _ in range(500):
+            argv = random_argv(rng)
+            plain = _parse_plain(argv)
+            if plain is not None:
+                plain_lines += 1
+                assert vars(plain) == vars(reference.parse_args(argv)), argv
+                continue
+            try:
+                reference.parse_args(argv)
+            except SystemExit:
+                refused += 1
+        capsys.readouterr()
+        assert plain_lines >= 50 and refused >= 100, (plain_lines, refused)
 
     @pytest.mark.parametrize("argv, built, leaves", [
         (["oracle", "-k", "2", "-s", "3", "-n", "5"], {"oracle"}, set()),

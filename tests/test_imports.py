@@ -32,7 +32,8 @@ NEVER_AT_STARTUP = {
     "dataclasses", "inspect", "ast", "dis", "tokenize", "fractions", "decimal", "csv"
 }
 
-# Top-level help and usage errors: argparse alone answers them.
+# Top-level help and usage errors: argparse alone answers them, and no
+# library module is loaded.
 PARSER_ONLY = {
     "help": ["--help"],
     "h": ["-h"],
@@ -90,6 +91,25 @@ def test_command_never_loads_dataclasses(command, tmp_path):
     loaded = loaded_modules(STARTUP_COMMANDS[command], tmp_path)
     assert "vccover.cli" in loaded
     assert not NEVER_AT_STARTUP & loaded
+
+
+NAMED_COMMANDS = {
+    **{name: argv for name, argv in STARTUP_COMMANDS.items() if name not in PARSER_ONLY},
+    **{f"verify {leaf}": argv for leaf, argv in VERIFY_LEAVES.items()},
+}
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("command", sorted(NAMED_COMMANDS))
+def test_named_command_never_loads_argparse(command, tmp_path):
+    loaded = loaded_modules(NAMED_COMMANDS[command], tmp_path)
+    assert "vccover.cli" in loaded
+    assert not ARGPARSE & loaded
+
+
+@pytest.mark.parametrize("argv", [*PARSER_ONLY.values(), ["oracle", "-k", "2"]])
+def test_help_and_usage_errors_fall_back_to_argparse(argv, tmp_path):
+    assert "argparse" in loaded_modules(argv, tmp_path)
 
 
 def test_explore_never_loads_the_covering_checks(tmp_path):
