@@ -46,10 +46,9 @@ _EXPORTS = {
         "family_from_masks",
         "make_family",
         "read_family",
-        "read_family_json",
         "write_family",
-        "write_family_json",
     ),
+    "families_json": ("read_family_json", "write_family_json"),
     "oracle": ("OracleResult", "exists_covering_with_vc_at_most", "oracle_D"),
     "vc": ("TraceSet", "VcReport", "sauer_shelah_sum", "shatters", "trace", "vc_dimension"),
     "verify": (

@@ -101,16 +101,19 @@ _COMMON = ("--out", "--format", "--cap", "--workers")
 
 
 def _load_family(path: str):
-    from .families import read_family, read_family_json
-
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path) as fh:
             text = fh.read()
-    if text.lstrip().startswith("{"):
-        return read_family_json(text)
-    return read_family(text)
+    # JSON when the first character that is not whitespace is "{". str.strip
+    # keeps only a character that is not whitespace, and unlike text.lstrip()
+    # this copies nothing when the text starts with whitespace.
+    if next(filter(str.strip, text), "") == "{":
+        from .families_json import read_family_json as read
+    else:
+        from .families import read_family as read
+    return read(text)
 
 
 def _json_line(payload: object) -> str:
@@ -121,14 +124,17 @@ def _json_line(payload: object) -> str:
 
 def _run_construct(args) -> tuple[int, str]:
     from . import constructions
-    from .families import write_family, write_family_json
 
     builder, *options = _CONSTRUCT[args.what]
     values = [_load_family(args.family) if option == "--family"
               else getattr(args, option.lstrip("-")) for option in options]
     fam = getattr(constructions, builder)(*values)
     if args.format == "json":
+        from .families_json import write_family_json
+
         return EXIT_OK, write_family_json(fam) + "\n"
+    from .families import write_family
+
     return EXIT_OK, write_family(fam)
 
 

@@ -47,8 +47,12 @@ class HypercubeSpec(namedtuple("HypercubeSpec", "k m")):
 
 
 def full_family(n: int, s: int) -> SetFamily:
-    """All C(n, s) subsets of size s, in canonical order."""
-    return family_from_masks(n, enumerate_subsets(n, s))
+    """All C(n, s) subsets of size s, in canonical order.
+
+    The enumeration is already canonical (increasing, distinct), so its masks
+    go to SetFamily as they come, with no set or sort copy.
+    """
+    return SetFamily(n, enumerate_subsets(n, s))
 
 
 def initial_segment_family(n: int) -> SetFamily:

@@ -11,8 +11,8 @@ bitsets). The canonical text format is::
 with one member per line, elements ascending, the empty member written as
 "-", and member lines sorted by mask order. The reader accepts a parameter
 line only when it is exactly the one the writer writes for the members
-read. The JSON mirror is
-``{"n": int, "members": [[int, ...], ...]}`` with the same ordering rules.
+read. The JSON mirror ``{"n": int, "members": [[int, ...], ...]}``, with the
+same ordering rules, is read and written in families_json.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .bitsets import (
 FORMAT_HEADER = "vcfam 1"
 DEFAULT_CAP = 24
 DEFAULT_ENUM_CAP = 12
+SLICE = 16384  # characters per slice read by _table_masks
 
 
 class FamilyFormatError(ValueError):
@@ -173,24 +174,25 @@ def enumerate_subsets(n: int, r: int) -> Iterator[int]:
     return iter_fixed_size_masks(n, r)
 
 
-def _member_parts(f: SetFamily) -> Iterator[list[str]]:
-    """Each member's elements as decimal strings, ascending, in member order."""
-    # One str() per element of [n], not one per element of every member.
+def _member_chunks(f: SetFamily, comma: str, empty: str, sep: str) -> Iterator[str]:
+    """Each run of 256 members as one string: members joined by ``sep``,
+    each its elements joined by ``comma``, or ``empty`` when it has none."""
     names = {1 << i: str(i + 1) for i in range(f.n)}
-    for m in f.members:
-        parts = []
-        while m:
-            low = m & -m
-            parts.append(names[low])
-            m ^= low
-        yield parts
+    for start in range(0, len(f.members), 256):
+        spelled = []
+        for m in f.members[start : start + 256]:
+            parts = []
+            while m:
+                low = m & -m
+                parts.append(names[low])
+                m ^= low
+            spelled.append(comma.join(parts) or empty)
+        yield sep.join(spelled)
 
 
 def write_family(f: SetFamily) -> str:
     """Serialize to the canonical text format (LF line endings)."""
-    lines = [FORMAT_HEADER, _parameter_line(f)]
-    lines.extend(" ".join(parts) or "-" for parts in _member_parts(f))
-    return "\n".join(lines) + "\n"
+    return "\n".join([FORMAT_HEADER, _parameter_line(f), *_member_chunks(f, " ", "-", "\n"), ""])
 
 
 def _parameter_line(f: SetFamily) -> str:
@@ -261,64 +263,50 @@ def _line_elements(line: str) -> list[int]:
     return elements
 
 
+def _table_masks(text: str, start: int, stop: int, n: int, sep: str, comma: str) -> list[int] | None:
+    """The masks of the members in ``text[start:stop]``, or None if one is not canonical.
+
+    Elements go through one table from "1".."n" to bits, the writers'
+    inverse, slice by slice, so one slice's member strings live at a time.
+    """
+    bit_of = defaultdict(int, {str(i + 1): 1 << i for i in range(n)}).__getitem__
+    masks: list[int] = []
+    prev = -1
+    while start <= stop:
+        end = text.find(sep, start + SLICE, stop)
+        end = stop if end < 0 else end
+        for member in text[start:end].split(sep):
+            bits = list(map(bit_of, member.split(comma)))  # 0, no bit, for any other token
+            mask = sum(bits)
+            if mask.bit_count() != len(bits) or mask <= prev or bits != sorted(bits):
+                return None
+            masks.append(mask)
+            prev = mask
+        start = end + len(sep)
+    return masks
+
+
 def read_family(text: str) -> SetFamily:
     """Parse canonical text, enforcing the canonical form strictly.
 
     Rejects unsorted element lines, member lines out of mask order,
     duplicate members, and a parameter line other than the one
-    ``write_family`` writes for the members read. A line goes through one
-    table from "1".."n" to bits, the writer's inverse; a line it refuses
-    ("-" too) goes to ``_line_elements`` and ``_append_member``.
+    ``write_family`` writes for the members read. If ``_table_masks``
+    refuses a line ("-" too), ``_line_elements`` reads them all.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    stop = len(text) - text.endswith("\n")
+    cut = text.find("\n", text.find("\n", 0, stop) + 1, stop)  # -1: no member line
+    lines = text[: stop if cut < 0 else cut].split("\n")
     n = _header_n(lines)
-    bit_of = defaultdict(int, {str(i + 1): 1 << i for i in range(n)}).__getitem__
-    masks: list[int] = []
-    prev = -1
-    for line in lines[2:]:
-        bits = list(map(bit_of, line.split(" ")))  # 0, no bit, for any other token
-        mask = sum(bits)
-        if mask.bit_count() == len(bits) and mask > prev and bits == sorted(bits):
-            masks.append(mask)
-        else:
+    masks = [] if cut < 0 else _table_masks(text, cut + 1, stop, n, "\n", " ")
+    if masks is None:
+        masks = []
+        for line in text[cut + 1 : stop].split("\n"):
             _append_member(masks, _line_elements(line), n, line)
-        prev = masks[-1]
-    f = SetFamily(n, tuple(masks))
+    f = SetFamily(n, masks)
     expected = _parameter_line(f)
     if lines[1] != expected:
         actual = "no uniform size" if f.uniform_size is None else f"uniform size {f.uniform_size}"
         raise FamilyFormatError(f"malformed header {lines[1]!r}: the members need {expected!r} ({actual})")
     return f
 
-
-def write_family_json(f: SetFamily) -> str:
-    """Serialize to the JSON mirror format, byte for byte what ``json.dumps`` writes."""
-    members = ", ".join(["[" + ", ".join(parts) + "]" for parts in _member_parts(f)])
-    return f'{{"n": {f.n}, "members": [{members}]}}'
-
-
-def read_family_json(text: str) -> SetFamily:
-    """Parse the JSON mirror, enforcing the same ordering rules as the text form."""
-    import json
-
-    # json.loads raises RecursionError on arrays nested about 1,000 deep.
-    try:
-        obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise FamilyFormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict) or set(obj) != {"n", "members"}:
-        raise FamilyFormatError("JSON family must be an object with keys 'n' and 'members'")
-    n = obj["n"]
-    # bool is a subclass of int, so the checks compare exact types.
-    if type(n) is not int or n < 1 or n > MAX_GROUND:
-        raise FamilyFormatError(f"bad ground size {n!r}")
-    if type(obj["members"]) is not list:
-        raise FamilyFormatError("JSON family 'members' must be a list")
-    masks: list[int] = []
-    for member in obj["members"]:
-        if type(member) is not list or not all(type(e) is int for e in member):
-            raise FamilyFormatError(f"bad member {member!r}")
-        _append_member(masks, member, n, member)
-    return SetFamily(n, tuple(masks))

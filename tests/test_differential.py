@@ -26,7 +26,11 @@ and the one-add shattering test to `vc_dimension` on random subfamilies.
 The explore CSV is held to `csv.writer`. The text reader, which decodes
 member lines through a table of element spellings, is held to the per-line
 reader it replaced, an int() parse with a spelling round trip: on written
-and mutated files both return the same family or raise the same message.
+and mutated files both return the same family or raise the same message,
+with slices of the default length and of a few characters. The JSON reader,
+which reads the writer's spelling through the same table, is held to its
+`json.loads` path the same way, on written files with members, elements,
+ground size, keys, spaces and trailing characters changed.
 The face verdict, decided by co-singletons, is held to the face reference
 on families built to have faceless members.
 """
@@ -54,6 +58,7 @@ from vccover import (
     vc_dimension,
     write_family,
 )
+from vccover import families as family_io
 from vccover.bitsets import elements_of, full_mask, iter_fixed_size_masks, iter_submasks, spread
 from vccover.cli import main
 from vccover.covering import first_faceless
@@ -66,8 +71,8 @@ from vccover.families import (
     incidence_columns,
     make_family,
     read_family,
-    write_family_json,
 )
+from vccover.families_json import _loaded_family, read_family_json, write_family_json
 from vccover.oracle import _orbit_masks, _pattern_words, _Search, oracle_D
 from vccover.vc import _shattered_walk, shatters
 from vccover.verify import ExplorationRow, _interpolation_violation, explore, rows_to_csv
@@ -494,14 +499,33 @@ def read_outcome(reader, text):
         return str(error)
 
 
+# full(22,4) as text, about 120 KB: more than one slice of the table reader.
+LONG_TEXT = write_family(full_family(22, 4))
+
+
+def after_first_slice(kind: str) -> str:
+    """LONG_TEXT with the first member line of its second slice mutated."""
+    start = LONG_TEXT.index("\n", LONG_TEXT.index("\n") + 1) + 1
+    cut = LONG_TEXT.index("\n", start + family_io.SLICE) + 1
+    end = LONG_TEXT.index("\n", cut)
+    return LONG_TEXT[:cut] + mutated_line(kind, LONG_TEXT[cut:end], 22) + LONG_TEXT[end:]
+
+
 @settings(max_examples=500, deadline=None)
-@given(family_texts())
-@example("vcfam 1\nn=3 s=1\n1\n-\n")
-@example("vcfam 1\nn=3 s=mixed\n-\n1\n1 2\n")
-@example("vcfam 1\nn=12 s=2\n1 \u0661\u0662\n")
-@example("vcfam 1\nn=3 s=2\n1 3\n1 3\n")
-def test_table_reader_matches_per_line_reader(text):
-    assert read_outcome(read_family, text) == read_outcome(reference_read_family, text)
+@given(family_texts(), st.sampled_from([0, 1, 5, 24, family_io.SLICE]))
+@example("vcfam 1\nn=3 s=1\n1\n-\n", family_io.SLICE)
+@example("vcfam 1\nn=3 s=mixed\n-\n1\n1 2\n", family_io.SLICE)
+@example("vcfam 1\nn=12 s=2\n1 \u0661\u0662\n", family_io.SLICE)
+@example("vcfam 1\nn=3 s=2\n1 3\n1 3\n", family_io.SLICE)
+@example(after_first_slice("descending"), family_io.SLICE)
+@example(after_first_slice("blank"), family_io.SLICE)
+@example(after_first_slice("beyond-n"), family_io.SLICE)
+@example(LONG_TEXT[:-1], family_io.SLICE)
+@example(LONG_TEXT + "\n", family_io.SLICE)
+def test_table_reader_matches_per_line_reader(text, slice_chars):
+    # Slices of a few characters put a slice boundary next to every line.
+    with mock.patch.object(family_io, "SLICE", slice_chars):
+        assert read_outcome(read_family, text) == read_outcome(reference_read_family, text)
 
 
 def test_table_reader_mutations_are_refused():
@@ -530,6 +554,95 @@ def test_json_writer_matches_json_dumps(corpus):
 def test_json_writer_and_incidence_match_references_on_random_families(f):
     assert write_family_json(f) == reference_json(f)
     assert incidence_columns(f) == reference_columns(f)
+
+
+# Element spellings json.loads reads as something other than the canonical
+# int, or as an int out of range.
+BAD_ELEMENTS = ["true", "false", "null", "1.0", "01", "-1", "1e0", "0", "+1", '"1"', "[1]"]
+BAD_GROUND = ["04", "true", "4.0", "-4", '"4"', "0", "257", "null"]
+
+
+@st.composite
+def json_texts(draw):
+    """A written JSON family, with up to three members, elements, keys or spaces changed,
+    its end cut short and trailing characters added."""
+    f = draw(families())
+    n = str(f.n)
+    members = [[str(e) for e in elements_of(m)] for m in f.members]
+    swapped = False
+    key = '"n"'
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        kind = draw(st.sampled_from(["element", "reverse", "empty", "duplicate", "swap", "ground", "keys",
+                                     "key-name"]))
+        i = draw(st.integers(min_value=0, max_value=len(members)))
+        if kind == "element" and i < len(members) and members[i]:
+            j = draw(st.integers(min_value=0, max_value=len(members[i]) - 1))
+            members[i][j] = draw(st.sampled_from(BAD_ELEMENTS + [str(f.n + 1)]))
+        elif kind == "reverse" and i < len(members):
+            members[i].reverse()
+        elif kind == "empty":
+            members.insert(i, [])
+        elif kind == "duplicate" and i < len(members):
+            members.insert(i, list(members[i]))
+        elif kind == "swap" and members:
+            j = draw(st.integers(min_value=0, max_value=len(members) - 1))
+            i = min(i, len(members) - 1)
+            members[i], members[j] = members[j], members[i]
+        elif kind == "ground":
+            n = draw(st.sampled_from(BAD_GROUND))
+        elif kind == "keys":
+            swapped = True
+        elif kind == "key-name":
+            key = draw(st.sampled_from(['"N"', '"m"', '"\\u006e"', "'n'"]))
+    spelled = "[" + ", ".join("[" + ", ".join(m) + "]" for m in members) + "]"
+    if swapped:
+        text = '{"members": %s, %s: %s}' % (spelled, key, n)
+    else:
+        text = '{%s: %s, "members": %s}' % (key, n, spelled)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        kind = draw(st.sampled_from(["drop-space", "add-space", "newline", "tab"]))
+        if kind == "drop-space":
+            at = text.find(" ", at)
+            text = text if at < 0 else text[:at] + text[at + 1 :]
+        else:
+            text = text[:at] + {"add-space": " ", "newline": "\n", "tab": "\t"}[kind] + text[at:]
+    text = text[: len(text) - draw(st.integers(min_value=0, max_value=2))]  # the closing "]}" cut short
+    return text + draw(st.sampled_from(["", "\n", "\n\n", " ", "x", "]", "}", ",", "\n{}", "\r\n"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_texts(), st.sampled_from([0, 1, 5, 24, family_io.SLICE]))
+@example('{"n": 4, "members": [[1, 2], [3, 4]]}', family_io.SLICE)
+@example('{"n": 04, "members": [[1, 2], [3, 4]]}', family_io.SLICE)
+@example('{"n": true, "members": [[1]]}', family_io.SLICE)
+@example('{"n": 3, "members": [[]]}', family_io.SLICE)
+@example('{"n": 3, "members": [[], [1]]}', family_io.SLICE)
+@example('{"n": 3, "members": []}', family_io.SLICE)
+@example('{"n": 3, "members": [[1]]}\n', 0)
+@example('{"n": 3, "members": [[1]]}x', family_io.SLICE)
+@example('{"n": 3, "members": [[1]]]', family_io.SLICE)
+@example('{"n": 3, "members": [[1]], "members": [[2]]}', family_io.SLICE)
+@example('{"n": 3, "members": [[1]]} {"n": 3, "members": [[1]]}', family_io.SLICE)
+def test_json_reader_matches_json_loads(text, slice_chars):
+    # The canonical spelling is read through the element table, every other
+    # text by json.loads: both give the same family or the same message.
+    with mock.patch.object(family_io, "SLICE", slice_chars):
+        assert read_outcome(read_family_json, text) == read_outcome(_loaded_family, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families(), st.sampled_from(["", "\n"]))
+def test_canonical_json_is_read_without_json_loads(f, end):
+    text = write_family_json(f) + end
+    if not f.members or 0 in f.members:  # no "[[" to start at, or "[]", which the table refuses
+        assert read_family_json(text) == f
+        return
+    with mock.patch("vccover.families_json._loaded_family", side_effect=AssertionError(text)):
+        assert read_family_json(text) == f
+    with mock.patch.object(family_io, "SLICE", 0):
+        with mock.patch("vccover.families_json._loaded_family", side_effect=AssertionError(text)):
+            assert read_family_json(text) == f
 
 
 # The shattering search narrows each probe's candidates to the union of the

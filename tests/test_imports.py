@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import vccover
-from vccover import full_family, write_family
+from vccover import full_family, write_family, write_family_json
 
 # Runs one command in process, then prints the names in sys.modules.
 PROBE = """
@@ -65,9 +65,10 @@ VERIFY_LEAVES = {
 
 
 def loaded_modules(argv: list[str], tmp_path) -> set[str]:
-    family = tmp_path / "f.vcfam"
+    family, json_family = tmp_path / "f.vcfam", tmp_path / "f.json"
     family.write_text(write_family(full_family(5, 2)))
-    argv = [a.format(family=family) for a in argv]
+    json_family.write_text(write_family_json(full_family(5, 2)) + "\n")
+    argv = [a.format(family=family, json_family=json_family) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv], capture_output=True, text=True, timeout=180
     )
@@ -129,8 +130,31 @@ def test_json_family_writer_does_not_load_json(tmp_path):
     loaded = loaded_modules(
         ["construct", "full", "-n", "5", "-s", "2", "--format", "json"], tmp_path
     )
-    assert "vccover.cli" in loaded
+    assert "vccover.families_json" in loaded
     assert "json" not in loaded
+
+
+@pytest.mark.parametrize("command", ["vcdim", "check"])
+def test_canonical_json_family_reader_does_not_load_json(command, tmp_path):
+    argv = [a.replace("{family}", "{json_family}") for a in COMMANDS[command]]
+    loaded = loaded_modules(argv, tmp_path)
+    assert "vccover.families_json" in loaded
+    assert "json" not in loaded
+
+
+# Commands that read, write or make no JSON family, with the text family for
+# those that read one.
+TEXT_FAMILY_COMMANDS = {
+    name: NAMED_COMMANDS[name]
+    for name in ("construct", "check", "vcdim", "oracle", "verify main", "explore")
+}
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_FAMILY_COMMANDS))
+def test_text_family_commands_never_load_the_json_mirror(command, tmp_path):
+    loaded = loaded_modules(TEXT_FAMILY_COMMANDS[command], tmp_path)
+    assert "vccover.families" in loaded
+    assert "vccover.families_json" not in loaded
 
 
 def test_package_import_loads_no_submodule():
