@@ -7,8 +7,11 @@ exhaustive small-scale search, and exact-arithmetic bound certificates.
 The exported names are loaded on first access (PEP 562), so importing the
 package loads no submodule, and importing a submodule loads only the modules
 it imports: ``vccover.verify`` loads ``bitsets``, ``constructions``,
-``families`` and ``vc``, while ``vccover.cli`` loads none until a command
-runs.
+``families`` and ``vc``; ``vccover.exploration`` (``explore`` and its
+scans) loads those, ``verify`` and ``oracle``; ``read_family`` loads
+``reader``, and ``vccover.cli`` loads none until a command runs. A command
+then loads its handler's module and what that module imports (see
+``vccover.cli``).
 """
 
 import importlib
@@ -45,29 +48,31 @@ _EXPORTS = {
         "enumerate_subsets",
         "family_from_masks",
         "make_family",
-        "read_family",
         "write_family",
     ),
+    "reader": ("read_family",),
     "families_json": ("read_family_json", "write_family_json"),
     "oracle": ("OracleResult", "exists_covering_with_vc_at_most", "oracle_D"),
     "vc": ("TraceSet", "VcReport", "sauer_shelah_sum", "shatters", "trace", "vc_dimension"),
     "verify": (
         "Certificate",
-        "ExplorationRow",
         "MainTheoremReport",
         "PropConstReport",
-        "explore",
         "family_certifies_upper",
         "lower_bound_certificate",
         "min_cover_size_lower_bound",
-        "monotonicity_scan",
-        "rows_to_csv",
-        "stab_upper",
         "stabilized_ground_size",
-        "surjectivity_scan",
         "upper_bound_certificate",
         "verify_main_theorem",
         "verify_prop_const",
+    ),
+    "exploration": (
+        "ExplorationRow",
+        "explore",
+        "monotonicity_scan",
+        "rows_to_csv",
+        "stab_upper",
+        "surjectivity_scan",
     ),
 }
 

@@ -8,26 +8,34 @@ value, each value converted by the option's own type. That skips
 importing argparse (which loads gettext and locale) and building a
 parser, a few milliseconds of every start. Any other line (help, an
 abbreviated flag, ``--opt=value``, a value starting with ``-``, any error)
-goes to argparse, so help texts, usage errors and exit codes are
-argparse's own. The argparse parser holds only the command being run:
-every other command keeps its help line but gets no leaves or options.
+goes to argparse, built in ``cli_argparse``, so help texts, usage errors
+and exit codes are argparse's own. The argparse parser holds only the
+command being run: every other command keeps its help line but gets no
+leaves or options.
 
-The command's handler returns ``(exit code, data)``, and ``main`` writes
-the data once, to --out or stdout. Diagnostics such as node counts and
-wall time go to stderr, so the data stream is byte-reproducible across
-runs and worker counts. Exit codes: 0 success/PASS, 1 verification FAIL,
-2 usage error, 3 feasibility cap exceeded or out of memory.
+A named command compiles only the code it runs. This module holds the
+tables, the plain reader and ``main``, and imports no library module, so
+top-level help and usage errors load none. ``main`` then imports the
+module ``_COMMANDS`` names for the command and calls its ``run``:
+``cli_construct``, ``cli_check``, ``cli_vcdim``, ``cli_oracle``,
+``cli_verify``, and ``exploration`` for explore. Each loads only the
+library modules its command calls, the family reader (``reader``) only
+when it reads a family, and json only on JSON paths. The records are
+named tuples or slotted classes, whose import pulls in no inspect or ast.
 
-This module imports no library module, so top-level help and usage
-errors load none. Each handler imports the library modules it calls
-(json only on JSON paths). The records are named tuples or slotted
-classes, whose import pulls in no inspect or ast.
+A handler returns ``(exit code, data)``, the data being the strings of the
+data stream in order, and ``main`` writes them in turn to --out or stdout,
+so a large family is written without being joined into one string.
+Diagnostics such as node counts and wall time go to stderr, so the data
+stream is byte-reproducible across runs and worker counts. Exit codes: 0
+success/PASS, 1 verification FAIL, 2 usage error, 3 feasibility cap
+exceeded or out of memory.
 """
 
 from __future__ import annotations
 
+import importlib
 import sys
-import time
 from types import SimpleNamespace
 
 EXIT_OK = 0
@@ -100,216 +108,31 @@ _OPTIONS = {
 _COMMON = ("--out", "--format", "--cap", "--workers")
 
 
-def _load_family(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
-    # JSON when the first character that is not whitespace is "{". str.strip
-    # keeps only a character that is not whitespace, and unlike text.lstrip()
-    # this copies nothing when the text starts with whitespace.
-    if next(filter(str.strip, text), "") == "{":
-        from .families_json import read_family_json as read
-    else:
-        from .families import read_family as read
-    return read(text)
-
-
 def _json_line(payload: object) -> str:
     import json
 
     return json.dumps(payload) + "\n"
 
 
-def _run_construct(args) -> tuple[int, str]:
-    from . import constructions
-
-    builder, *options = _CONSTRUCT[args.what]
-    values = [_load_family(args.family) if option == "--family"
-              else getattr(args, option.lstrip("-")) for option in options]
-    fam = getattr(constructions, builder)(*values)
-    if args.format == "json":
-        from .families_json import write_family_json
-
-        return EXIT_OK, write_family_json(fam) + "\n"
-    from .families import write_family
-
-    return EXIT_OK, write_family(fam)
-
-
-def _run_check(args) -> tuple[int, str]:
-    from .bitsets import elements_of
-    from .covering import first_faceless, is_k_covering, unique_face
-
-    fam = _load_family(args.family)
-    if args.what == "covering":
-        report = is_k_covering(fam, args.k)
-        failure, witness = "uncovered", report.uncovered
-    elif args.format == "json":
-        report = unique_face(fam)
-        failure, witness = "violator", report.violator
-    else:
-        # The text verdict names only the violator, so the search stops there.
-        failure, witness = "violator", first_faceless(fam)
-    code = EXIT_OK if witness is None else EXIT_FAIL
-    if args.format == "json":
-        return code, _json_line(report.as_dict())
-    if witness is None:
-        return code, "PASS\n"
-    return code, f"FAIL {failure}: {' '.join(str(e) for e in elements_of(witness))}\n"
-
-
-def _run_vcdim(args) -> tuple[int, str]:
-    from .vc import vc_dimension
-
-    report = vc_dimension(_load_family(args.family))
-    if args.format == "json":
-        return EXIT_OK, _json_line(report.as_dict())
-    return EXIT_OK, f"{report.dimension}\n"
-
-
-def _run_oracle(args) -> tuple[int, str]:
-    from .families import Parameters, write_family
-    from .oracle import oracle_D
-
-    params = Parameters(args.k, args.s, args.n)
-    method = "exhaustive" if args.fallback_enum else "branch-and-bound"
-    if args.cap is not None:
-        print(f"warning: feasibility cap overridden to {args.cap}", file=sys.stderr)
-    start = time.perf_counter()
-    result = oracle_D(params, cap=args.cap, method=method)
-    elapsed = time.perf_counter() - start
-    print(f"nodes={result.nodes_explored} time={elapsed:.3f}s", file=sys.stderr)
-    if args.format == "json":
-        return EXIT_OK, _json_line(result.as_dict())
-    return EXIT_OK, f"{result.value}\n" + write_family(result.witness)
-
-
-def _run_verify(args) -> tuple[int, str]:
-    from .verify import (
-        lower_bound_certificate,
-        upper_bound_certificate,
-        verify_main_theorem,
-        verify_prop_const,
-    )
-
-    lines: list[str] = []
-    if args.what == "prop-const":
-        report = verify_prop_const(args.m, args.k)
-        payload = report.as_dict()
-        for item, ok in payload["items"].items():
-            lines.append(f"{item}: {'PASS' if ok else 'FAIL'}")
-        passed = report.passed
-    elif args.what == "certificate":
-        lower = lower_bound_certificate(args.k, args.s, args.n)
-        upper = upper_bound_certificate(args.k, args.s, args.n, witness_path=args.witness_out)
-        payload = {"lower": lower.as_dict(), "upper": upper.as_dict()}
-        lines.append(
-            f"lower {lower.inequality_lhs} < {lower.inequality_rhs}: "
-            f"{'HOLDS' if lower.holds else 'FAILS'} "
-            f"(sufficient inequality: {lower.sufficient_inequality_holds})"
-        )
-        lines.append(
-            f"upper witness vc {upper.inequality_lhs} <= {upper.inequality_rhs}: "
-            f"{'HOLDS' if upper.holds else 'FAILS'}"
-        )
-        passed = lower.holds and upper.holds
-    else:
-        report = verify_main_theorem(args.k, args.s)
-        payload = report.as_dict()
-        lines.append(f"n = {report.n}")
-        lines.append(f"certificate: {'PASS' if report.certificate.holds else 'FAIL'}")
-        lines.append(f"witness covering: {'PASS' if report.witness_covering else 'FAIL'}")
-        lines.append(f"witness vc = {report.witness_vc}")
-        passed = report.passed
-    code = EXIT_OK if passed else EXIT_FAIL
-    if args.format == "json":
-        return code, _json_line(payload)
-    lines.append("PASS" if passed else "FAIL")
-    return code, "".join(line + "\n" for line in lines)
-
-
-def _run_explore(args) -> tuple[int, str]:
-    from .verify import explore, monotonicity_scan, rows_to_csv, stab_upper, surjectivity_scan
-
-    rows = explore(args.k, args.s, args.n, cap=args.cap)
-    hint = stab_upper(rows)
-    drops = monotonicity_scan(rows)
-    attained = sorted(surjectivity_scan(rows))
-    if args.format == "json":
-        payload = {
-            "rows": [row._asdict() for row in rows],
-            "stab_upper_hint": hint,
-            "non_monotone_pairs": drops,
-            "attained_values": attained,
-        }
-        return EXIT_OK, _json_line(payload)
-    print(f"stab_upper_hint={hint}", file=sys.stderr)
-    if drops:
-        print(f"non-monotone pairs: {drops}", file=sys.stderr)
-    print(f"attained values: {attained}", file=sys.stderr)
-    return EXIT_OK, rows_to_csv(rows)
-
-
-# Each command: its help, its handler, and its options in order; a group
-# (construct, check, verify) maps each of its leaves to the leaf's options.
+# Each command: its help, the module whose ``run`` handles it, and its
+# options in order; a group (construct, check, verify) maps each of its
+# leaves to the leaf's options. Explore's handler sits in the library module
+# it drives, which no other command loads; every other handler has a module
+# of its own, as other commands load the library modules it calls.
 _COMMANDS = {
-    "construct": ("build a family and emit it canonically", _run_construct,
+    "construct": ("build a family and emit it canonically", "cli_construct",
                   {what: options for what, (_, *options) in _CONSTRUCT.items()}),
-    "check": ("decide a property, print PASS/FAIL plus witnesses", _run_check,
+    "check": ("decide a property, print PASS/FAIL plus witnesses", "cli_check",
               {"covering": ("--family", "-k"), "ufp": ("--family",)}),
-    "vcdim": ("exact VC-dimension of a family file", _run_vcdim, ("--family",)),
-    "oracle": ("exact minimum VC-dimension over covering families", _run_oracle,
+    "vcdim": ("exact VC-dimension of a family file", "cli_vcdim", ("--family",)),
+    "oracle": ("exact minimum VC-dimension over covering families", "cli_oracle",
                ("-k", "-s", "-n", "--fallback-enum")),
-    "verify": ("run a verification and exit 0 on PASS", _run_verify,
+    "verify": ("run a verification and exit 0 on PASS", "cli_verify",
                {"prop-const": ("-m", "-k"), "certificate": ("-k", "-s", "-n", "--witness-out"),
                 "main": ("-k", "-s")}),
-    "explore": ("emit an exploration table over a range of ground sizes", _run_explore,
+    "explore": ("emit an exploration table over a range of ground sizes", "exploration",
                 ("-k", "-s", "-n range")),
 }
-
-
-def _common_parser():
-    """The options every command and leaf takes, as an argparse parent."""
-    import argparse
-
-    from .families import DEFAULT_CAP, DEFAULT_ENUM_CAP
-
-    common = argparse.ArgumentParser(add_help=False)
-    for option in _COMMON:
-        spec = _OPTIONS[option]
-        help_text = spec.get("help") and spec["help"].format(DEFAULT_CAP, DEFAULT_ENUM_CAP)
-        common.add_argument(option, **{**spec, "help": help_text})
-    return common
-
-
-def _build_parser(argv: list[str]):
-    import argparse
-
-    # Only the command that argv names (its first token that is one) gets its
-    # leaves and options; every other keeps its help line, so the top-level
-    # help and usage errors read the same as with every command built.
-    named = next(filter(_COMMANDS.__contains__, argv), None)
-    parser = argparse.ArgumentParser(
-        prog="vccover",
-        description="Exact VC-dimension engine for covering set families.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, run, options) in _COMMANDS.items():
-        if command != named:
-            sub.add_parser(command, help=help_text, add_help=False)
-            continue
-        common = _common_parser()
-        grouped = isinstance(options, dict)
-        p = sub.add_parser(command, parents=[] if grouped else [common], help=help_text)
-        p.set_defaults(run=run)
-        leaves = grouped and p.add_subparsers(dest="what", required=True)
-        for what, opts in (options if grouped else {command: options}).items():
-            target = leaves.add_parser(what, parents=[common]) if grouped else p
-            for option in opts:
-                target.add_argument(option.split()[0], **_OPTIONS[option])
-    return parser
 
 
 def _parse_plain(argv: list[str]):
@@ -351,16 +174,20 @@ def _parse_plain(argv: list[str]):
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse_plain(argv) or _build_parser(argv).parse_args(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        from .cli_argparse import _build_parser
+
+        args = _build_parser(argv).parse_args(argv)
     from .families import FeasibilityError
 
     try:
-        code, data = args.run(args)
+        code, data = importlib.import_module(f"{__package__}.{args.run}").run(args)
         if args.out:
             with open(args.out, "w") as fh:
-                fh.write(data)
+                fh.writelines(data)
         else:
-            sys.stdout.write(data)
+            sys.stdout.writelines(data)
         return code
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)

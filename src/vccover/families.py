@@ -19,21 +19,14 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from typing import Iterable, Iterator
 
-from .bitsets import (
-    MAX_GROUND,
-    check_ground,
-    elements_of,
-    iter_fixed_size_masks,
-    mask_of,
-)
+from .bitsets import check_ground, elements_of, iter_fixed_size_masks, mask_of
 
 FORMAT_HEADER = "vcfam 1"
 DEFAULT_CAP = 24
 DEFAULT_ENUM_CAP = 12
-SLICE = 16384  # characters per slice read by _table_masks
 
 
 class FamilyFormatError(ValueError):
@@ -190,123 +183,19 @@ def _member_chunks(f: SetFamily, comma: str, empty: str, sep: str) -> Iterator[s
         yield sep.join(spelled)
 
 
+def text_pieces(f: SetFamily) -> Iterator[str]:
+    """``write_family``'s text in pieces: the two header lines, then each
+    run of 256 member lines, so a caller can write it without the whole."""
+    yield f"{FORMAT_HEADER}\n{_parameter_line(f)}\n"
+    for chunk in _member_chunks(f, " ", "-", "\n"):
+        yield chunk + "\n"
+
+
 def write_family(f: SetFamily) -> str:
     """Serialize to the canonical text format (LF line endings)."""
-    return "\n".join([FORMAT_HEADER, _parameter_line(f), *_member_chunks(f, " ", "-", "\n"), ""])
+    return "".join(text_pieces(f))
 
 
 def _parameter_line(f: SetFamily) -> str:
     """The line under the format header: ``n=<n> s=<uniform size or "mixed">``."""
     return f"n={f.n} s={'mixed' if f.uniform_size is None else f.uniform_size}"
-
-
-def _header_n(lines: list[str]) -> int:
-    """The ground size n from the parameter line, read before any member.
-
-    The readers need n to range-check elements. The spelling of n and the
-    rest of the line are checked after the members are read, against the
-    line the writer writes for them.
-    """
-    if not lines or lines[0] != FORMAT_HEADER:
-        raise FamilyFormatError(f"malformed header: expected '{FORMAT_HEADER}'")
-    if len(lines) < 2:
-        raise FamilyFormatError("malformed header: missing parameter line")
-    field = lines[1].split(" ")[0]
-    try:
-        n = int(field[2:]) if field.startswith("n=") else 0
-    except ValueError:
-        n = 0
-    if not 1 <= n <= MAX_GROUND:
-        raise FamilyFormatError(f"malformed header: bad n in {lines[1]!r}")
-    return n
-
-
-def _append_member(masks: list[int], elements: Iterable[int], n: int, raw: str | list) -> None:
-    """Append one member's mask to ``masks``, enforcing the canonical form.
-
-    The elements must be ascending ints in [1, n], and the member must come
-    strictly after ``masks[-1]`` in mask order. ``raw`` is the member as read
-    (the text line or the JSON list); its repr quotes the member in error
-    messages, and is built only when one is raised.
-    """
-    mask = prev = 0
-    for e in elements:
-        if not (1 <= e <= n):
-            raise FamilyFormatError(f"element {e} out of range [1, {n}]")
-        if e <= prev:
-            raise FamilyFormatError(f"unsorted member: {raw!r}")
-        prev = e
-        mask |= 1 << (e - 1)
-    if masks and mask <= masks[-1]:
-        if mask == masks[-1]:
-            raise FamilyFormatError(f"duplicate member: {raw!r}")
-        raise FamilyFormatError(f"members out of canonical order at {raw!r}")
-    masks.append(mask)
-
-
-def _line_elements(line: str) -> list[int]:
-    """The elements of one member line, which must be spelled canonically.
-
-    int() also takes signs, leading zeros, surrounding whitespace and
-    non-ASCII digits, which write_family never writes, so the line must equal
-    its elements joined back with single spaces. Range, order and duplicates
-    are left to _append_member.
-    """
-    if line == "-":
-        return []
-    try:
-        elements = [int(token) for token in line.split(" ")]
-    except ValueError:
-        raise FamilyFormatError(f"bad element in line {line!r}") from None
-    if " ".join(map(str, elements)) != line:
-        raise FamilyFormatError(f"non-canonical member line {line!r}")
-    return elements
-
-
-def _table_masks(text: str, start: int, stop: int, n: int, sep: str, comma: str) -> list[int] | None:
-    """The masks of the members in ``text[start:stop]``, or None if one is not canonical.
-
-    Elements go through one table from "1".."n" to bits, the writers'
-    inverse, slice by slice, so one slice's member strings live at a time.
-    """
-    bit_of = defaultdict(int, {str(i + 1): 1 << i for i in range(n)}).__getitem__
-    masks: list[int] = []
-    prev = -1
-    while start <= stop:
-        end = text.find(sep, start + SLICE, stop)
-        end = stop if end < 0 else end
-        for member in text[start:end].split(sep):
-            bits = list(map(bit_of, member.split(comma)))  # 0, no bit, for any other token
-            mask = sum(bits)
-            if mask.bit_count() != len(bits) or mask <= prev or bits != sorted(bits):
-                return None
-            masks.append(mask)
-            prev = mask
-        start = end + len(sep)
-    return masks
-
-
-def read_family(text: str) -> SetFamily:
-    """Parse canonical text, enforcing the canonical form strictly.
-
-    Rejects unsorted element lines, member lines out of mask order,
-    duplicate members, and a parameter line other than the one
-    ``write_family`` writes for the members read. If ``_table_masks``
-    refuses a line ("-" too), ``_line_elements`` reads them all.
-    """
-    stop = len(text) - text.endswith("\n")
-    cut = text.find("\n", text.find("\n", 0, stop) + 1, stop)  # -1: no member line
-    lines = text[: stop if cut < 0 else cut].split("\n")
-    n = _header_n(lines)
-    masks = [] if cut < 0 else _table_masks(text, cut + 1, stop, n, "\n", " ")
-    if masks is None:
-        masks = []
-        for line in text[cut + 1 : stop].split("\n"):
-            _append_member(masks, _line_elements(line), n, line)
-    f = SetFamily(n, masks)
-    expected = _parameter_line(f)
-    if lines[1] != expected:
-        actual = "no uniform size" if f.uniform_size is None else f"uniform size {f.uniform_size}"
-        raise FamilyFormatError(f"malformed header {lines[1]!r}: the members need {expected!r} ({actual})")
-    return f
-

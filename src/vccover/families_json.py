@@ -3,10 +3,11 @@
 A family is ``{"n": <n>, "members": [[1, 2], [3, 4]]}``, the members in
 canonical order with their elements ascending, spelled byte for byte as
 ``json.dumps`` spells it. This module is loaded only when a JSON family is
-read or written, so no other command compiles it.
+read or written, so no other command compiles it, and a command that only
+writes one does not load the text reader either.
 
 The reader takes the writer's spelling, with at most one final newline,
-through the text reader's element table (``families._table_masks``), with
+through the text reader's element table (``reader._table_masks``), with
 no ``json`` import and no list per member. Any other text, valid JSON in
 another spelling or not JSON at all, goes to ``json.loads`` and the
 member checks of the text format, which give every verdict and message.
@@ -14,21 +15,39 @@ member checks of the text format, which give every verdict and message.
 
 from __future__ import annotations
 
-from .families import MAX_GROUND, FamilyFormatError, SetFamily, _append_member, _member_chunks, _table_masks
+from typing import Iterator
+
+from .bitsets import MAX_GROUND
+from .families import FamilyFormatError, SetFamily, _member_chunks
 
 # The ground sizes as json.dumps spells them.
 _GROUND = {str(n): n for n in range(1, MAX_GROUND + 1)}
 
 
+def json_pieces(f: SetFamily) -> Iterator[str]:
+    """``write_family_json``'s text in pieces: the opening, then each run of
+    256 members with the separator before it, then the closing, so a caller
+    can write it without the whole."""
+    if not f.members:
+        yield '{"n": %d, "members": []}' % f.n
+        return
+    opening = '{"n": %d, "members": [[' % f.n
+    for chunk in _member_chunks(f, ", ", "", "], ["):
+        yield opening
+        yield chunk
+        opening = "], ["
+    yield "]]}"
+
+
 def write_family_json(f: SetFamily) -> str:
     """Serialize to the JSON mirror format, byte for byte what ``json.dumps`` writes."""
-    if not f.members:
-        return '{"n": %d, "members": []}' % f.n
-    return '{"n": %d, "members": [[%s]]}' % (f.n, "], [".join(_member_chunks(f, ", ", "", "], [")))
+    return "".join(json_pieces(f))
 
 
 def read_family_json(text: str) -> SetFamily:
     """Parse the JSON mirror, enforcing the same ordering rules as the text form."""
+    from .reader import _table_masks
+
     at = text.find(', "members": [[')
     n = _GROUND.get(text[6:at]) if at > 6 and text.startswith('{"n": ') else None
     stop = len(text) - text.endswith("\n") - 3  # where the closing "]]}" must start
@@ -42,6 +61,8 @@ def read_family_json(text: str) -> SetFamily:
 def _loaded_family(text: str) -> SetFamily:
     """Any JSON text, read by ``json.loads`` and checked member by member."""
     import json
+
+    from .reader import _append_member
 
     # json.loads raises RecursionError on arrays nested about 1,000 deep.
     try:

@@ -18,11 +18,11 @@ from vccover import (
     read_family,
     recursive_family,
     write_family,
+    write_family_json,
 )
 from vccover import constructions
-from vccover.cli import (
-    _COMMANDS, _COMMON, _OPTIONS, _build_parser, _common_parser, _parse_plain, main,
-)
+from vccover.cli import _COMMANDS, _COMMON, _OPTIONS, _parse_plain, main
+from vccover.cli_argparse import _build_parser, _common_parser
 
 CLI = [sys.executable, "-m", "vccover"]
 
@@ -74,6 +74,20 @@ class TestConstruct:
         payload = json.loads(proc.stdout)
         assert payload["n"] == 4
         assert payload["members"][0] == [1, 2]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_out_and_stdout_bytes_are_the_writers(self, fmt, tmp_path):
+        # 495 members: the handler writes them in runs of 256, which must
+        # join into exactly the writer's text.
+        f = full_family(12, 4)
+        expected = (write_family_json(f) + "\n" if fmt == "json" else write_family(f)).encode()
+        argv = [sys.executable, "-m", "vccover", "construct", "full", "-n", "12", "-s", "4",
+                "--format", fmt]
+        assert subprocess.run(argv, capture_output=True, timeout=180).stdout == expected
+        path = tmp_path / "fam"
+        proc = subprocess.run([*argv, "--out", str(path)], capture_output=True, timeout=180)
+        assert proc.returncode == 0 and proc.stdout == b""
+        assert path.read_bytes() == expected
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "fam.vcfam"

@@ -58,24 +58,24 @@ from vccover import (
     vc_dimension,
     write_family,
 )
-from vccover import families as family_io
+from vccover import reader as family_io
 from vccover.bitsets import elements_of, full_mask, iter_fixed_size_masks, iter_submasks, spread
 from vccover.cli import main
 from vccover.covering import first_faceless
 from vccover.constructions import covering_witness_family, full_family
+from vccover.exploration import ExplorationRow, explore, rows_to_csv
 from vccover.families import (
     FamilyFormatError,
     SetFamily,
-    _header_n,
     _parameter_line,
     incidence_columns,
     make_family,
-    read_family,
 )
 from vccover.families_json import _loaded_family, read_family_json, write_family_json
 from vccover.oracle import _orbit_masks, _pattern_words, _Search, oracle_D
+from vccover.reader import _header_n, read_family
 from vccover.vc import _shattered_walk, shatters
-from vccover.verify import ExplorationRow, _interpolation_violation, explore, rows_to_csv
+from vccover.verify import _interpolation_violation
 
 
 def reference_first(f) -> list[int]:

@@ -9,6 +9,7 @@ from vccover import (
     FamilyFormatError,
     Parameters,
     SetFamily,
+    covering_witness_family,
     elements_of,
     enumerate_subsets,
     full_family,
@@ -372,3 +373,19 @@ class TestMemory:
     def test_traced_peak_on_full_22_4(self, call, bound_kb):
         args = self.F, write_family(self.F), write_family_json(self.F)
         assert traced_peak_kb(call, *args) < bound_kb
+
+    @pytest.mark.parametrize("read, write", [(read_family, write_family),
+                                             (read_family_json, write_family_json)])
+    def test_reader_peak_within_5_percent_of_its_family(self, read, write):
+        # The (3,5) witness at n = 93, 61,755 members. A list of every mask
+        # held beside the family's tuple made the peak 16% above the family.
+        text = write(covering_witness_family(3, 5, 93))
+        read(text)
+        tracemalloc.start()
+        try:
+            f = read(text)
+            family, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(f) == 61_755
+        assert peak <= 1.05 * family, (peak, family)

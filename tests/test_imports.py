@@ -83,7 +83,7 @@ def test_command_loads_only_what_it_uses(command, tmp_path):
     assert not NEVER_LOADED & loaded
     assert ("vccover.oracle" in loaded) == (command == "oracle")
     assert ("vccover.vc" in loaded) == (command == "vcdim")
-    library = {m for m in loaded if m.startswith("vccover.")} - {"vccover.cli"}
+    library = {m for m in loaded if m.startswith("vccover.")} - {"vccover.cli", "vccover.cli_argparse"}
     assert (not library) == (command in PARSER_ONLY), library
 
 
@@ -157,6 +157,38 @@ def test_text_family_commands_never_load_the_json_mirror(command, tmp_path):
     assert "vccover.families_json" not in loaded
 
 
+# The exact vccover modules each named command loads besides the package,
+# vccover.cli and the two every command uses (bitsets, families): its
+# handler's module and the library modules the handler calls. So no command
+# loads another command's handler or the argparse builder (cli_argparse),
+# and only a command that reads a family loads the reader. The lines are
+# the benchmark's command shapes.
+EVERY_COMMAND = {"vccover", "vccover.cli", "vccover.bitsets", "vccover.families"}
+VERIFY_MODULES = {"cli_verify", "verify", "constructions", "covering", "vc"}
+COMMAND_MODULES = {
+    "oracle -k 2 -s 3 -n 5 --cap 126": {"cli_oracle", "oracle"},
+    "oracle -k 2 -s 3 -n 5 --fallback-enum": {"cli_oracle", "oracle", "vc"},
+    "verify prop-const -m 4 -k 2": VERIFY_MODULES,
+    "verify certificate -k 2 -s 3 -n 14": VERIFY_MODULES,
+    "verify main -k 2 -s 3": VERIFY_MODULES,
+    "explore -k 2 -s 3 -n 3:6 --workers 2": {"exploration", "verify", "constructions", "oracle", "vc"},
+    "construct witness -k 2 -s 3 -n 7": {"cli_construct", "constructions"},
+    "construct full -n 5 -s 2 --format json": {"cli_construct", "constructions", "families_json"},
+    "construct cone --family {family}": {"cli_construct", "constructions", "reader"},
+    "check covering --family {family} -k 2": {"cli_check", "covering", "reader"},
+    "check ufp --family {json_family}": {"cli_check", "covering", "reader", "families_json"},
+    "vcdim --family {family}": {"cli_vcdim", "reader", "vc"},
+    "vcdim --family {json_family}": {"cli_vcdim", "reader", "vc", "families_json"},
+}
+
+
+@pytest.mark.parametrize("line", sorted(COMMAND_MODULES))
+def test_named_command_loads_exactly_its_modules(line, tmp_path):
+    loaded = loaded_modules(line.split(), tmp_path)
+    expected = EVERY_COMMAND | {f"vccover.{name}" for name in COMMAND_MODULES[line]}
+    assert {m for m in loaded if m.split(".")[0] == "vccover"} == expected
+
+
 def test_package_import_loads_no_submodule():
     loaded = set(
         subprocess.run(
@@ -176,7 +208,9 @@ def test_module_run_for_help_imports_no_library_module():
     )
     imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
-    assert {m for m in imported if m.split(".")[0] == "vccover"} == {"vccover", "vccover.cli"}
+    assert {m for m in imported if m.split(".")[0] == "vccover"} == {
+        "vccover", "vccover.cli", "vccover.cli_argparse"
+    }
 
 
 def test_every_export_is_the_defining_object():
