@@ -30,6 +30,10 @@ Diagnostics such as node counts and wall time go to stderr, so the data
 stream is byte-reproducible across runs and worker counts. Exit codes: 0
 success/PASS, 1 verification FAIL, 2 usage error, 3 feasibility cap
 exceeded or out of memory.
+
+``main`` returns the exit code and never ends the process, so tests and
+tools call it in process. A command process ends through
+``vccover.__main__.run``, which skips the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -201,4 +205,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from .__main__ import run
+
+    run()

@@ -83,23 +83,28 @@ def _first_meeting(columns: list[int], r: int, start: int, floor: int) -> int | 
     return dfs(start, len(columns), r) if r else None
 
 
-def is_k_covering(f: SetFamily, k: int) -> CoverReport:
+def is_k_covering(f: SetFamily, k: int, columns: list[int] | None = None) -> CoverReport:
     """Check that every k-subset of [n] lies inside some member.
 
     A k-set is covered iff the AND of its elements' incidence columns is
     nonzero. k-sets are visited in canonical order, so a failure reports
-    the canonically smallest uncovered k-set.
+    the canonically smallest uncovered k-set. ``columns`` is the family's
+    incidence table when the caller has built it already.
     """
     if not (1 <= k <= f.n):
         raise ValueError(f"need 1 <= k <= n, got k={k} n={f.n}")
     everyone = (1 << len(f.members)) - 1
-    uncovered = _first_meeting(incidence_columns(f), k, everyone, 0)
+    if columns is None:
+        columns = incidence_columns(f)
+    uncovered = _first_meeting(columns, k, everyone, 0)
     if uncovered is not None:
         return CoverReport(k=k, holds=False, uncovered=uncovered)
     return CoverReport(k=k, holds=True)
 
 
-def _face_verdicts(f: SetFamily) -> Iterator[tuple[int, tuple[int, ...], list[int], int, bool]]:
+def _face_verdicts(
+    f: SetFamily, table: list[int] | None = None
+) -> Iterator[tuple[int, tuple[int, ...], list[int], int, bool]]:
     """Yield ``(member, elements, columns, bit, has_face)`` per member, in member order.
 
     ``columns`` are the incidence columns of the member's elements and
@@ -107,12 +112,14 @@ def _face_verdicts(f: SetFamily) -> Iterator[tuple[int, tuple[int, ...], list[in
     exactly ``bit``. ``has_face`` looks at the co-singletons alone: without
     element i the AND is ``prefix & suffix[i + 1]``, the ANDs of the columns
     before i and after it, with ``everyone`` as the empty AND; the first
-    co-singleton face ends the test. Raises ValueError for the empty family
+    co-singleton face ends the test. ``table`` is the family's incidence
+    table, built here when not given. Raises ValueError for the empty family
     on the first ``next``.
     """
     if not f.members:
         raise ValueError("unique-face check is undefined for the empty family")
-    table = incidence_columns(f)
+    if table is None:
+        table = incidence_columns(f)
     everyone = (1 << len(f.members)) - 1
     for j, member in enumerate(f.members):
         elements = elements_of(member)
@@ -131,13 +138,15 @@ def _face_verdicts(f: SetFamily) -> Iterator[tuple[int, tuple[int, ...], list[in
         yield member, elements, columns, bit, has_face
 
 
-def first_faceless(f: SetFamily) -> int | None:
+def first_faceless(f: SetFamily, columns: list[int] | None = None) -> int | None:
     """The first member without a face, or None when the unique face property holds.
 
     Decided by co-singletons alone, exact as faces are closed upward inside
     a member (see the module docstring): about 2|S| ANDs per member S.
+    ``columns`` is the family's incidence table when the caller has it.
     """
-    return next((member for member, _, _, _, has_face in _face_verdicts(f) if not has_face), None)
+    verdicts = _face_verdicts(f, columns)
+    return next((member for member, _, _, _, has_face in verdicts if not has_face), None)
 
 
 def unique_face(f: SetFamily) -> FaceReport:

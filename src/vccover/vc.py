@@ -184,7 +184,7 @@ def _shattered_walk(members: Sequence[int], columns: list[int], cell: int, bound
     return first
 
 
-def vc_dimension(f: SetFamily) -> VcReport:
+def vc_dimension(f: SetFamily, columns: list[int] | None = None) -> VcReport:
     """Exact VC-dimension of a nonempty family, with witness and refutation.
 
     One walk over every member, bounded by min(largest member size,
@@ -193,13 +193,16 @@ def vc_dimension(f: SetFamily) -> VcReport:
     cap. The witness is the colex-smallest shattered set of the largest
     size. When the walk stops below its cap, the refutation at
     dimension + 1 is the completed walk; at the cap it is the counting
-    bound itself.
+    bound itself. ``columns`` is the family's incidence table when the
+    caller has built it already.
     """
     if not f.members:
         raise ValueError("VC-dimension is undefined for the empty family")
     sizes = [m.bit_count() for m in f.members]
     bound = min(max(sizes), f.n - min(sizes))
-    first = _shattered_walk(f.members, incidence_columns(f), (1 << len(sizes)) - 1, bound)
+    if columns is None:
+        columns = incidence_columns(f)
+    first = _shattered_walk(f.members, columns, (1 << len(sizes)) - 1, bound)
     return VcReport(dimension=len(first) - 1, witness=first[-1], refuted_size=len(first))
 
 

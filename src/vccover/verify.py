@@ -6,7 +6,8 @@ parameters, not an estimate.
 
 The covering checks are imported by the functions that call them, so
 `explore` (in ``exploration``), which takes the lower-bound certificate
-from here, never loads them.
+from here, never loads them. A function that runs two kernels on one
+family builds its incidence table once and hands it to both.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 from .bitsets import mask_of
 from .constructions import covering_witness_family, recursive_family
-from .families import Parameters, SetFamily, text_pieces
+from .families import Parameters, SetFamily, incidence_columns, text_pieces
 from .vc import sauer_shelah_sum, shatters, vc_dimension
 
 LOWER_KIND = "lower-vc-ge-k"
@@ -87,7 +88,8 @@ def family_certifies_upper(f: SetFamily, k: int) -> bool:
     """Re-verify an upper-bound witness: k-covering and VC-dimension <= k."""
     from .covering import is_k_covering
 
-    return is_k_covering(f, k).holds and vc_dimension(f).dimension <= k
+    columns = incidence_columns(f)
+    return is_k_covering(f, k, columns).holds and vc_dimension(f, columns).dimension <= k
 
 
 def upper_bound_certificate(k: int, s: int, n: int, witness_path: str | None = None) -> Certificate:
@@ -95,8 +97,9 @@ def upper_bound_certificate(k: int, s: int, n: int, witness_path: str | None = N
     from .covering import is_k_covering
 
     witness = covering_witness_family(k, s, n)
-    dim = vc_dimension(witness).dimension
-    holds = is_k_covering(witness, k).holds and dim <= k
+    columns = incidence_columns(witness)
+    dim = vc_dimension(witness, columns).dimension
+    holds = is_k_covering(witness, k, columns).holds and dim <= k
     if witness_path is not None:
         with open(witness_path, "w") as fh:
             fh.writelines(text_pieces(witness))
@@ -183,8 +186,9 @@ def verify_prop_const(m: int, k: int) -> PropConstReport:
 
     n = m + k - 1
     fam = recursive_family(m, k)
-    cover = is_k_covering(fam, k)
-    violator = first_faceless(fam)
+    columns = incidence_columns(fam)
+    cover = is_k_covering(fam, k, columns)
+    violator = first_faceless(fam, columns)
     interpolation_violation = _interpolation_violation(fam.members)
     tail_checked = 2 * k < n
     tail_shattered = not tail_checked or shatters(fam, mask_of(range(n - k + 1, n + 1)))
@@ -241,8 +245,9 @@ def verify_main_theorem(k: int, s: int) -> MainTheoremReport:
     n = Parameters(k, s, stabilized_ground_size(k, s)).n
     cert = lower_bound_certificate(k, s, n)
     witness = covering_witness_family(k, s, n)
-    covering = is_k_covering(witness, k).holds
-    dim = vc_dimension(witness).dimension
+    columns = incidence_columns(witness)
+    covering = is_k_covering(witness, k, columns).holds
+    dim = vc_dimension(witness, columns).dimension
     return MainTheoremReport(
         k=k, s=s, n=n, certificate=cert, witness_covering=covering, witness_vc=dim
     )

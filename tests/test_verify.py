@@ -161,6 +161,50 @@ class TestPropConst:
             verify_prop_const(250, 8)
 
 
+class TestOneIncidenceTable:
+    """Each verification builds one incidence table per family and hands it
+    to every kernel it runs on that family."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import vccover.covering
+        import vccover.families
+        import vccover.vc
+        import vccover.verify
+
+        built = []
+        build = vccover.families.incidence_columns
+
+        def counted(f):
+            built.append(f)
+            return build(f)
+
+        for module in (vccover.covering, vccover.vc, vccover.verify):
+            monkeypatch.setattr(module, "incidence_columns", counted, raising=False)
+        return built
+
+    @pytest.mark.parametrize("passes, family", [
+        (lambda: verify_main_theorem(2, 3).passed, covering_witness_family(2, 3, 14)),
+        (lambda: upper_bound_certificate(2, 3, 14).holds, covering_witness_family(2, 3, 14)),
+        (lambda: verify_prop_const(6, 3).passed, recursive_family(6, 3)),
+        (lambda: family_certifies_upper(full_family(6, 2), 2), full_family(6, 2)),
+    ], ids=["main", "certificate", "prop-const", "certifies-upper"])
+    def test_one_build_per_family(self, builds, passes, family):
+        assert passes()
+        assert builds == [family]
+
+    def test_kernels_agree_with_a_given_table(self):
+        from vccover.covering import first_faceless, is_k_covering
+        from vccover.families import incidence_columns
+
+        for f in (recursive_family(6, 3), covering_witness_family(2, 4, 9), full_family(5, 2)):
+            columns = incidence_columns(f)
+            for k in (1, 2, 3):
+                assert is_k_covering(f, k, columns) == is_k_covering(f, k)
+            assert vc_dimension(f, columns) == vc_dimension(f)
+            assert first_faceless(f, columns) == first_faceless(f)
+
+
 class TestMainTheorem:
     def test_smallest_pairs(self):
         for k, s in [(1, 1), (1, 2), (2, 2)]:
