@@ -66,8 +66,8 @@ def explore(
     range of any length is refused at once when it reaches past 256.
     Each row asks `oracle_D` for the exact value under ``cap`` (None: the
     oracle's default); a row beyond it reports a forced family or a blank.
-    ``workers`` is ignored; it stays only because the benchmark's traced
-    run (``bench/tracing.py``) passes it.
+    ``workers`` is ignored; the benchmark's traced run (``bench/tracing.py``)
+    and the tests pass it, and it goes once the benchmark no longer does.
     """
     # Checked apart from n, so a bad pair is refused even when no n in the range reaches s.
     if not (1 <= k <= s <= MAX_GROUND):

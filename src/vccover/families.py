@@ -57,11 +57,12 @@ class SetFamily:
     must be strictly increasing masks inside [n], else ValueError. They are
     stored as a tuple, so a list passed in is copied, not shared.
     ``uniform_size`` is derived metadata: the common cardinality of the
-    members, None when they differ (and for the empty family).
+    members, None when they differ (and for the empty family). ``_columns``
+    keeps the incidence table once built; it is not part of the value.
     Not a tuple: its length, iteration and ``in`` run over the members.
     """
 
-    __slots__ = ("n", "members", "uniform_size")
+    __slots__ = ("n", "members", "uniform_size", "_columns")
 
     def __init__(self, n: int, members: Iterable[int]) -> None:
         members = tuple(members)
@@ -76,6 +77,7 @@ class SetFamily:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "uniform_size", sizes.pop() if len(sizes) == 1 else None)
+        object.__setattr__(self, "_columns", None)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"SetFamily is immutable: cannot change {name!r}")
@@ -111,9 +113,11 @@ class SetFamily:
         return self.uniform_size is not None
 
 
-def incidence_columns(f: SetFamily) -> list[int]:
+def incidence_columns(f: SetFamily) -> tuple[int, ...]:
     """The family's incidence table, one column per ground element.
 
+    Built on the first call for ``f`` and kept in it: every later call, from
+    any kernel, returns the same tuple.
     ``columns[i]`` is the bitset of member indices whose member contains
     element i+1 (bit j stands for ``f.members[j]``). The AND of the columns
     of a set A is then the set of members containing A. Built by string
@@ -125,6 +129,8 @@ def incidence_columns(f: SetFamily) -> list[int]:
     little-endian bytes. Each buffer becomes one int at the end, so the work
     is linear in the member count and no per-chunk int outlives its chunk.
     """
+    if f._columns is not None:
+        return f._columns
     n, members = f.n, f.members
     flag, width = 1 << n, n + 3
     buffers = [bytearray() for _ in range(n)]
@@ -132,7 +138,8 @@ def incidence_columns(f: SetFamily) -> list[int]:
         rows = "".join([bin(m | flag) for m in reversed(members[start : start + 256])])
         for i, buf in enumerate(buffers):
             buf += int(rows[n + 2 - i :: width], 2).to_bytes(32, "little")
-    return [int.from_bytes(buf, "little") for buf in buffers]
+    object.__setattr__(f, "_columns", tuple(int.from_bytes(buf, "little") for buf in buffers))
+    return f._columns
 
 
 def family_from_masks(n: int, masks: Iterable[int]) -> SetFamily:

@@ -316,8 +316,8 @@ def oracle_D(
     refutation at d - 1. The "exhaustive" route enumerates every subfamily
     and must agree; it is the built-in cross-check.
 
-    ``workers`` is ignored, as the search is sequential; it stays only
-    because the benchmark's traced run (``bench/tracing.py``) passes it.
+    ``workers`` is ignored, as the search is sequential; the benchmark's
+    traced run (``bench/tracing.py``) and the tests pass it until it goes.
     """
     if method not in ("branch-and-bound", "exhaustive"):
         raise ValueError(f"unknown oracle method {method!r}")

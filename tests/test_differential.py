@@ -374,14 +374,15 @@ def test_kernels_match_references_on_corpus(corpus):
         assert_kernels_match(f, name)
 
 
-def reference_columns(f) -> list[int]:
+def reference_columns(f) -> tuple[int, ...]:
     """Column i: the members containing element i+1, one element-member test at a time."""
-    return [sum(1 << j for j, m in enumerate(f.members) if m >> i & 1) for i in range(f.n)]
+    return tuple(sum(1 << j for j, m in enumerate(f.members) if m >> i & 1) for i in range(f.n))
 
 
 def test_incidence_columns_list_the_members_of_each_element(corpus):
     for name, f in corpus:
         assert incidence_columns(f) == reference_columns(f), name
+        assert incidence_columns(f) is incidence_columns(f), name
 
 
 def test_incidence_columns_across_chunk_boundaries():

@@ -77,6 +77,26 @@ def test_set_family_equality_and_hash():
     assert copy.deepcopy(f) == f
 
 
+def test_set_family_keeps_its_value_once_its_table_is_built():
+    from vccover.families import incidence_columns
+
+    f = make_family(4, [{1, 2}, {3, 4}])
+    before = repr(f), hash(f)
+    table = incidence_columns(f)
+    assert incidence_columns(f) is table and table == (0b01, 0b01, 0b10, 0b10)
+    assert (repr(f), hash(f)) == before
+    assert f == SetFamily(4, (3, 12)) and SetFamily(4, (3, 12)) == f
+    for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert copied == f and repr(copied) == repr(f) and hash(copied) == hash(f)
+        assert incidence_columns(copied) == table
+    for name in ("n", "members", "uniform_size", "_columns", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert incidence_columns(f) is table and repr(f) == before[0]
+
+
 def test_set_family_copies_a_list_of_members():
     masks = [1, 2]
     f = SetFamily(3, masks)
