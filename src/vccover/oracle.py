@@ -27,12 +27,12 @@ covering the node can still reach, so the search meets solutions in the
 same order as the plain DFS and returns the same witness; only the node
 count falls.
 
-One `_Search` per (k, s, n) serves both routes: its universe, coverage
-table and candidate bitmaps are built once, after the cap check, from the
-package's own subset enumeration and incidence table, and serve every d of
-the scan. Only the pattern words are built per d, each member's word as
-one binary string read by one `int(..., 2)`, and one method, `search(d)`,
-runs the whole search for that d, building its orbit maps as it goes.
+One `_Search` per (k, s, n) serves both routes. Its universe family,
+coverage table and candidate bitmaps are built once, after the cap check,
+for every d; the bitmaps and the power-set walk read the family's own
+incidence table. Only the pattern words are built per d, each member's word
+as one binary string read by one `int(..., 2)`, and `search(d)` runs the
+whole search for that d, building its orbit maps as it goes.
 
 Both routes are sequential and deterministic: branches and subfamilies run
 in canonical order, so value, witness and node count never depend on the
@@ -76,7 +76,7 @@ class OracleResult(NamedTuple):
         }
 
 
-def _pattern_words(universe: list[int], n: int, d: int) -> tuple[list[int], int]:
+def _pattern_words(universe: tuple[int, ...], n: int, d: int) -> tuple[list[int], int]:
     """Each member's pattern word for VC <= d, and the word with bit 0 of every field.
 
     A word has one field of 2^(d+1) + 1 bits per (d+1)-probe, probe p at
@@ -97,7 +97,7 @@ def _pattern_words(universe: list[int], n: int, d: int) -> tuple[list[int], int]
     return words, int(fields[0] * len(tables), 2)
 
 
-def _orbit_masks(universe: list[int], chosen: int) -> list[int]:
+def _orbit_masks(universe: tuple[int, ...], chosen: int) -> list[int]:
     """Each member's orbit under the symmetries of [n] that fix every chosen member.
 
     `chosen` is a selector of universe indices. The group is the product of
@@ -123,12 +123,12 @@ class _Search:
     """Branch-and-bound over the subfamilies of one (k, s, n) universe.
 
     The constructor checks the cap, then builds everything that does not
-    depend on d once per triple, from the package's own kernels: the
-    universe of s-sets; `coverage_of[j]`, the bitmap of the k-sets inside
-    universe[j], as the OR of their index bits over `iter_submasks`;
+    depend on d once per triple: `full`, the family of all s-sets, whose
+    members are `universe`; `coverage_of[j]`, the bitmap of the k-sets
+    inside universe[j], as the OR of their index bits over `iter_submasks`;
     `candidates_for[i]`, the bitmap of the members holding k-set i, as the
-    AND of its elements' columns in the universe's incidence table, the
-    rule `covering.py` uses. `bound` is min(s, n - s), above which no
+    AND of its elements' columns in `full`'s incidence table, the rule
+    `covering.py` uses. `bound` is min(s, n - s), above which no
     subfamily's VC-dimension can lie, and `family(selector)` the subfamily
     whose universe indices are the selector's bits. `search(d)` builds its d's
     pattern words (`_pattern_words`) and runs the DFS; `nodes` counts the
@@ -179,11 +179,12 @@ class _Search:
             raise FeasibilityError(f"universe C({n},{s}) = {universe_size} exceeds cap {cap}")
         self.n = n
         self.bound = min(s, n - s)
-        self.universe = list(iter_fixed_size_masks(n, s))
+        self.full = SetFamily(n, iter_fixed_size_masks(n, s))
+        self.universe = self.full.members
         bit_of = {a: 1 << i for i, a in enumerate(iter_fixed_size_masks(n, k))}
         self.all_covered = (1 << len(bit_of)) - 1
         self.coverage_of = [sum(bit_of[a] for a in iter_submasks(m, k)) for m in self.universe]
-        self.columns = columns = incidence_columns(SetFamily(n, self.universe))
+        columns = incidence_columns(self.full)
         self.candidates_for = [reduce(and_, [columns[e - 1] for e in elements_of(a)])
                                for a in bit_of]
         self.nodes = 0
@@ -273,8 +274,8 @@ def _oracle_enumerate(search: _Search) -> tuple[int, SetFamily, int]:
 
     Walks every nonempty subfamily of the universe of `search`, in selector
     order, keeps the covering ones by its coverage table, and makes one
-    call of the VC walk of `vc_dimension` on each: the selector is the
-    walk's cell of the universe's incidence table, and `search.bound` its
+    call of the VC walk of `vc_dimension` on each: the walk takes
+    `search.full`, the selector as its cell and `search.bound` as its
     bound, so no subfamily gets a family or a table of its own. The walk
     derives the cell's active elements and counting cap itself. Returns the
     minimum, the family of its first selector, and the count of
@@ -285,9 +286,9 @@ def _oracle_enumerate(search: _Search) -> tuple[int, SetFamily, int]:
     # Imported here, so the branch-and-bound route never loads vccover.vc.
     from .vc import _shattered_walk
 
-    universe, coverage_of, columns = search.universe, search.coverage_of, search.columns
+    full, coverage_of = search.full, search.coverage_of
     best = best_selector = None
-    for selector in range(1, 1 << len(universe)):
+    for selector in range(1, 1 << len(full)):
         covered = 0
         sel = selector
         while sel:
@@ -296,11 +297,11 @@ def _oracle_enumerate(search: _Search) -> tuple[int, SetFamily, int]:
             sel ^= low
         if covered != search.all_covered:
             continue
-        value = len(_shattered_walk(universe, columns, selector, search.bound)) - 1
+        value = len(_shattered_walk(full, selector, search.bound)) - 1
         if best is None or value < best:
             best, best_selector = value, selector
     assert best is not None
-    return best, search.family(best_selector), (1 << len(universe)) - 1
+    return best, search.family(best_selector), (1 << len(full)) - 1
 
 
 def oracle_D(

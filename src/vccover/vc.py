@@ -36,15 +36,14 @@ lowest element is never entered. Every subtree cut holds no probe of size
 r + 1, so no record is lost: the first probe of each size, and with it the
 colex witness, is the one the uncut walk meets.
 
-The first cell is the set of members walked: all of them for
-``vc_dimension``, one subfamily for the power-set oracle, which walks each
-covering subfamily of its universe on the universe's one table.
+The first cell is every member for ``vc_dimension``; the power-set oracle
+walks its universe family once per covering subfamily, on one table.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .bitsets import elements_of, is_within
 from .families import SetFamily, incidence_columns
@@ -90,15 +89,14 @@ def shatters(f: SetFamily, probe: int) -> bool:
     return len(trace(f, probe).traces) == 1 << probe.bit_count()
 
 
-def _shattered_walk(members: Sequence[int], columns: Sequence[int], cell: int, bound: int) -> list[int]:
-    """``first[r]``: the colex-smallest shattered r-set of the subfamily ``cell``.
+def _shattered_walk(f: SetFamily, cell: int, bound: int) -> list[int]:
+    """``first[r]``: the colex-smallest shattered r-set of the subfamily ``cell`` of ``f``.
 
-    ``cell`` holds the member bits of the subfamily walked, over the
-    columns of ``members``. Its active elements are those whose column
-    meets the cell without holding all of it, and the walk's cap is
-    min(``bound``, floor(log2 |cell|), number of active elements): 2^r
-    traces need 2^r members, and a shattered set is made of active
-    elements.
+    ``cell`` holds the member bits of the subfamily walked, over ``f``'s
+    incidence table. Its active elements are those whose column meets the
+    cell without holding all of it, and the walk's cap is min(``bound``,
+    floor(log2 |cell|), number of active elements): 2^r traces need 2^r
+    members, and a shattered set is made of active elements.
 
     One depth-first walk over the shattered sets of the active elements,
     from the top element down: a probe is extended only by live candidates
@@ -134,6 +132,7 @@ def _shattered_walk(members: Sequence[int], columns: Sequence[int], cell: int, b
     subtrees with no shattered probe of size ``len(first)``, and so none
     larger, so ``first`` is the list the uncut walk returns.
     """
+    members, columns = f.members, incidence_columns(f)
     active = 0
     for i, column in enumerate(columns):
         if 0 < column & cell < cell:
@@ -199,7 +198,7 @@ def vc_dimension(f: SetFamily) -> VcReport:
         raise ValueError("VC-dimension is undefined for the empty family")
     sizes = [m.bit_count() for m in f.members]
     bound = min(max(sizes), f.n - min(sizes))
-    first = _shattered_walk(f.members, incidence_columns(f), (1 << len(sizes)) - 1, bound)
+    first = _shattered_walk(f, (1 << len(sizes)) - 1, bound)
     return VcReport(dimension=len(first) - 1, witness=first[-1], refuted_size=len(first))
 
 

@@ -65,3 +65,27 @@ _CORPUS = build_corpus()
 @pytest.fixture(scope="session")
 def corpus() -> list[tuple[str, SetFamily]]:
     return _CORPUS
+
+
+@pytest.fixture
+def table_builds(monkeypatch) -> list[SetFamily]:
+    """The families whose incidence table is built, in build order, by
+    every module that reads a table outside families.py."""
+    import vccover.covering
+    import vccover.families
+    import vccover.oracle
+    import vccover.vc
+
+    built, tables = [], []
+    build = vccover.families.incidence_columns
+
+    def counted(f):
+        columns = build(f)
+        if not any(columns is table for table in tables):  # a new table: a build
+            tables.append(columns)
+            built.append(f)
+        return columns
+
+    for module in (vccover.covering, vccover.oracle, vccover.vc):
+        monkeypatch.setattr(module, "incidence_columns", counted)
+    return built

@@ -102,11 +102,10 @@ def assert_walk_matches(f, label) -> None:
     """Every ``first[r]`` of the walk over every member, at a bound above n and
     at every bound below the end."""
     first = reference_first(f)
-    columns = incidence_columns(f)
     everyone = (1 << len(f.members)) - 1
-    assert _shattered_walk(f.members, columns, everyone, f.n + 1) == first, label
+    assert _shattered_walk(f, everyone, f.n + 1) == first, label
     for cap in range(1, len(first)):
-        assert _shattered_walk(f.members, columns, everyone, cap) == first[: cap + 1], (label, cap)
+        assert _shattered_walk(f, everyone, cap) == first[: cap + 1], (label, cap)
 
 
 def reference_cover(f, k: int) -> CoverReport:
@@ -179,11 +178,11 @@ def families_with_cells(draw):
 @given(families_with_cells())
 def test_walk_on_a_cell_matches_vc_of_its_subfamily(case):
     # The walk over a cell of a non-uniform family, on the whole family's
-    # columns, against the cell's members as their own family.
+    # table, against the cell's members as their own family.
     f, cell = case
     sub = SetFamily(f.n, [m for j, m in enumerate(f.members) if cell >> j & 1])
     sizes = [m.bit_count() for m in sub.members]
-    first = _shattered_walk(f.members, incidence_columns(f), cell, min(max(sizes), f.n - min(sizes)))
+    first = _shattered_walk(f, cell, min(max(sizes), f.n - min(sizes)))
     report = vc_dimension(sub)
     assert (len(first) - 1, first[-1]) == (report.dimension, report.witness), sub.members
     assert first == reference_first(sub), sub.members
@@ -909,7 +908,7 @@ def small_universes():
 def test_oracle_tables_match_subset_definitions():
     for (k, s, n), search in small_universes():
         k_sets = list(iter_fixed_size_masks(n, k))
-        assert search.universe == list(iter_fixed_size_masks(n, s))
+        assert list(search.universe) == list(iter_fixed_size_masks(n, s))
         assert search.all_covered == (1 << len(k_sets)) - 1
         for j, member in enumerate(search.universe):
             inside = {i for i, a in enumerate(k_sets) if a & member == a}

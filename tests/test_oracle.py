@@ -171,6 +171,13 @@ class TestOracle:
             assert (result.value, result.witness) == (d, witness), triple
             assert result.nodes_explored == stats["nodes"], triple
 
+    @pytest.mark.parametrize("method", ["branch-and-bound", "exhaustive"])
+    def test_one_table_build_per_call(self, table_builds, method):
+        # The candidate bitmaps and the power-set route's walk on every
+        # covering subfamily read the universe family's one table.
+        assert oracle_D(Parameters(2, 3, 5), method=method).value == 2
+        assert table_builds == [full_family(5, 3)]
+
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             oracle_D(Parameters(1, 2, 3), method="guess")

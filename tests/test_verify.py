@@ -166,26 +166,6 @@ class TestOneIncidenceTable:
     """A family builds its incidence table once, however many kernels are
     run on it."""
 
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        import vccover.covering
-        import vccover.families
-        import vccover.vc
-
-        built, tables = [], []
-        build = vccover.families.incidence_columns
-
-        def counted(f):
-            columns = build(f)
-            if not any(columns is table for table in tables):  # a new table: a build
-                tables.append(columns)
-                built.append(f)
-            return columns
-
-        for module in (vccover.covering, vccover.vc):
-            monkeypatch.setattr(module, "incidence_columns", counted)
-        return built
-
     @pytest.mark.parametrize("passes, family", [
         (lambda: verify_main_theorem(2, 3).passed, covering_witness_family(2, 3, 14)),
         (lambda: upper_bound_certificate(2, 3, 14).holds, covering_witness_family(2, 3, 14)),
@@ -193,9 +173,9 @@ class TestOneIncidenceTable:
         (lambda: family_certifies_upper(full_family(6, 2), 2), full_family(6, 2)),
         (lambda: ufp_implies_vc_bound_check(recursive_family(6, 3)), recursive_family(6, 3)),
     ], ids=["main", "certificate", "prop-const", "certifies-upper", "ufp-implies-vc"])
-    def test_one_build_per_family(self, builds, passes, family):
+    def test_one_build_per_family(self, table_builds, passes, family):
         assert passes()
-        assert builds == [family]
+        assert table_builds == [family]
 
 
 class TestMainTheorem:
