@@ -56,19 +56,24 @@ def iter_fixed_size_masks(n: int, r: int) -> Iterator[int]:
 
     Uses Gosper's hack; the integer order coincides with colex order on
     element sets, which is the canonical order everywhere in this package.
+    The size is checked at the call, not at the first ``next``.
     """
     if r < 0 or r > n:
         raise ValueError(f"subset size {r} out of range for ground size {n}")
-    if r == 0:
-        yield 0
-        return
-    v = (1 << r) - 1
-    limit = 1 << n
-    while v < limit:
-        yield v
-        low = v & -v
-        ripple = v + low
-        v = ripple | (((v ^ ripple) >> 2) // low)
+
+    def gosper() -> Iterator[int]:
+        if r == 0:
+            yield 0
+            return
+        v = (1 << r) - 1
+        limit = 1 << n
+        while v < limit:
+            yield v
+            low = v & -v
+            ripple = v + low
+            v = ripple | (((v ^ ripple) >> 2) // low)
+
+    return gosper()
 
 
 def iter_submasks(mask: int, r: int) -> Iterator[int]:

@@ -56,11 +56,15 @@ def full_family(n: int, s: int) -> SetFamily:
 
 
 def initial_segment_family(n: int) -> SetFamily:
-    """The proper initial segments of [n]: empty set, {1}, {1,2}, ..., {1..n-1}."""
+    """The proper initial segments of [n]: empty set, {1}, {1,2}, ..., {1..n-1}.
+
+    Each segment's mask exceeds the one before, so the masks go to SetFamily
+    as they come, with no set or sort copy.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     check_ground(n)
-    return family_from_masks(n, ((1 << i) - 1 for i in range(n)))
+    return SetFamily(n, ((1 << i) - 1 for i in range(n)))
 
 
 def cone(f: SetFamily) -> SetFamily:
@@ -77,7 +81,9 @@ def product(f: SetFamily, ell: int) -> SetFamily:
     """Replace each member S by S x [ell] over ground [n*ell].
 
     The relabeling is row-major: point (v, x) with v in [n], x in [ell]
-    maps to (v-1)*ell + x.
+    maps to (v-1)*ell + x. The highest element where two members differ
+    becomes the highest block where their images differ, so the images keep
+    the members' order and go to SetFamily with no set or sort copy.
     """
     if ell < 1:
         raise ValueError(f"need ell >= 1, got {ell}")
@@ -89,7 +95,7 @@ def product(f: SetFamily, ell: int) -> SetFamily:
         for v in elements_of(m):
             out |= block << ((v - 1) * ell)
         masks.append(out)
-    return family_from_masks(f.n * ell, masks)
+    return SetFamily(f.n * ell, masks)
 
 
 def hypercube_family(k: int, m: int) -> SetFamily:

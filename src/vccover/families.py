@@ -169,9 +169,12 @@ def make_family(n: int, members: Iterable[Iterable[int]]) -> SetFamily:
 def enumerate_subsets(n: int, r: int) -> Iterator[int]:
     """All C(n, r) subsets of [n] as masks, each exactly once, in canonical order."""
     check_ground(n)
-    if r < 0 or r > n:
-        raise ValueError(f"subset size {r} out of range for ground size {n}")
     return iter_fixed_size_masks(n, r)
+
+
+# The text format's member spelling, (comma, empty, sep) as _member_chunks
+# takes it: the writer writes with it and the reader reads with it.
+_TEXT_SPELLING = (" ", "-", "\n")
 
 
 def _member_chunks(f: SetFamily, comma: str, empty: str, sep: str) -> Iterator[str]:
@@ -194,7 +197,7 @@ def text_pieces(f: SetFamily) -> Iterator[str]:
     """``write_family``'s text in pieces: the two header lines, then each
     run of 256 member lines, so a caller can write it without the whole."""
     yield f"{FORMAT_HEADER}\n{_parameter_line(f)}\n"
-    for chunk in _member_chunks(f, " ", "-", "\n"):
+    for chunk in _member_chunks(f, *_TEXT_SPELLING):
         yield chunk + "\n"
 
 

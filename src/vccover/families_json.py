@@ -8,9 +8,11 @@ writes one does not load the text reader either.
 
 The reader takes the writer's spelling, with at most one final newline,
 through the text reader's element table (``reader._table_masks``), with
-no ``json`` import and no list per member. Any other text, valid JSON in
-another spelling or not JSON at all, goes to ``json.loads`` and the
-member checks of the text format, which give every verdict and message.
+no ``json`` import and no list per member: every family the writer
+writes, the empty family and a first empty member ``[]`` included. Any
+other text, valid JSON in another spelling or not JSON at all, goes to
+``json.loads`` and the member checks of the text format, which give every
+verdict and message.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from .families import FamilyFormatError, SetFamily, _member_chunks
 _GROUND = {str(n): n for n in range(1, MAX_GROUND + 1)}
 
 
+# The member spelling inside the list's "[[" and "]]", (comma, empty, sep) as
+# _member_chunks takes it: the writer writes with it and the reader reads with it.
+_JSON_SPELLING = (", ", "", "], [")
+
+
 def json_pieces(f: SetFamily) -> Iterator[str]:
     """``write_family_json``'s text in pieces: the opening, then each run of
     256 members with the separator before it, then the closing, so a caller
@@ -32,7 +39,7 @@ def json_pieces(f: SetFamily) -> Iterator[str]:
         yield '{"n": %d, "members": []}' % f.n
         return
     opening = '{"n": %d, "members": [[' % f.n
-    for chunk in _member_chunks(f, ", ", "", "], ["):
+    for chunk in _member_chunks(f, *_JSON_SPELLING):
         yield opening
         yield chunk
         opening = "], ["
@@ -48,13 +55,17 @@ def read_family_json(text: str) -> SetFamily:
     """Parse the JSON mirror, enforcing the same ordering rules as the text form."""
     from .reader import _table_masks
 
-    at = text.find(', "members": [[')
-    n = _GROUND.get(text[6:at]) if at > 6 and text.startswith('{"n": ') else None
-    stop = len(text) - text.endswith("\n") - 3  # where the closing "]]}" must start
-    if n and text.startswith("]]}", stop):
-        masks = _table_masks(text, at + 15, stop, n, "], [", ", ")
-        if masks is not None:
-            return SetFamily(n, masks)
+    at = text.find(', "members": [') + 14  # just past the member list's "["
+    n = _GROUND.get(text[6 : at - 14]) if at > 20 and text.startswith('{"n": ') else None
+    stop = len(text) - text.endswith("\n") - 2  # where the closing "]}" must start
+    if n and text.startswith("]}", stop):
+        if stop == at:  # "[]": no member
+            return SetFamily(n, ())
+        if text.startswith("[", at) and text.startswith("]", stop - 1):
+            try:
+                return SetFamily(n, _table_masks(text, at + 1, stop - 1, n, *_JSON_SPELLING))
+            except FamilyFormatError:  # a member the writer does not write
+                pass
     return _loaded_family(text)
 
 

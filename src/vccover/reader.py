@@ -1,6 +1,10 @@
 """Reading family files: the canonical text reader, and the loader the
 commands that take ``--family`` call.
 
+The members of a file are read in one pass through one table from element
+spellings to bits (``_table_masks``); only a line it refuses goes through
+the per-line checks, which name its fault.
+
 Only a command that reads a family loads this module (the JSON reader in
 ``families_json`` takes its element table from here), so no other command
 compiles it. The format itself is described in ``families``.
@@ -14,7 +18,7 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .bitsets import MAX_GROUND
-from .families import FORMAT_HEADER, FamilyFormatError, SetFamily, _parameter_line
+from .families import _TEXT_SPELLING, FORMAT_HEADER, FamilyFormatError, SetFamily, _parameter_line
 
 SLICE = 16384  # characters per slice read by _table_masks
 
@@ -113,14 +117,18 @@ class _Counted:
         return self.count
 
 
-def _table_masks(text: str, start: int, stop: int, n: int, sep: str, comma: str) -> tuple[int, ...] | None:
-    """The masks of the members in ``text[start:stop]``, or None if one is not canonical.
+def _table_masks(text: str, start: int, stop: int, n: int, comma: str, empty: str, sep: str) -> tuple[int, ...]:
+    """The masks of the members in ``text[start:stop]``, spelled as a format's
+    writer spells them: ``(comma, empty, sep)`` as ``_member_chunks`` takes it.
 
     Elements go through one table from "1".."n" to bits, the writers'
     inverse, slice by slice, so one slice's member strings live at a time.
-    The tuple, sized by the count of separators, takes each slice's masks
-    in turn, and a slice's list is dropped once the tuple holds them, so no
-    list of every mask is held beside it.
+    The empty member is read where alone it can stand, first. At the first
+    member the table refuses, FamilyFormatError is raised with that member
+    and the mask before it (-1 at the first) as its args. The tuple, sized
+    by the count of separators, takes each slice's masks in turn, and a
+    slice's list is dropped once the tuple holds them, so no list of every
+    mask is held beside it.
     """
     bit_of = defaultdict(int, {str(i + 1): 1 << i for i in range(n)}).__getitem__
 
@@ -134,16 +142,15 @@ def _table_masks(text: str, start: int, stop: int, n: int, sep: str, comma: str)
                 bits = list(map(bit_of, member.split(comma)))  # 0, no bit, for any other token
                 mask = sum(bits)
                 if mask.bit_count() != len(bits) or mask <= prev or bits != sorted(bits):
-                    raise FamilyFormatError(member)
+                    if member != empty or prev >= 0:
+                        raise FamilyFormatError(member, prev)
+                    mask = 0  # the empty member, first
                 masks.append(mask)
                 prev = mask
             yield masks
             at = end + len(sep)
 
-    try:
-        return tuple(_Counted(chain.from_iterable(slices()), text.count(sep, start, stop) + 1))
-    except FamilyFormatError:  # raised by slices() alone
-        return None
+    return tuple(_Counted(chain.from_iterable(slices()), text.count(sep, start, stop) + 1))
 
 
 def read_family(text: str) -> SetFamily:
@@ -151,18 +158,20 @@ def read_family(text: str) -> SetFamily:
 
     Rejects unsorted element lines, member lines out of mask order,
     duplicate members, and a parameter line other than the one
-    ``write_family`` writes for the members read. If ``_table_masks``
-    refuses a line ("-" too), ``_line_elements`` reads them all.
+    ``write_family`` writes for the members read. The members are read
+    by ``_table_masks`` alone; a line it refuses is named by
+    ``_line_elements`` and ``_append_member``, which refuse exactly the
+    lines it refuses.
     """
     stop = len(text) - text.endswith("\n")
     cut = text.find("\n", text.find("\n", 0, stop) + 1, stop)  # -1: no member line
     lines = text[: stop if cut < 0 else cut].split("\n")
     n = _header_n(lines)
-    masks = () if cut < 0 else _table_masks(text, cut + 1, stop, n, "\n", " ")
-    if masks is None:
-        masks = []
-        for line in text[cut + 1 : stop].split("\n"):
-            _append_member(masks, _line_elements(line), n, line)
+    try:
+        masks = () if cut < 0 else _table_masks(text, cut + 1, stop, n, *_TEXT_SPELLING)
+    except FamilyFormatError as refused:  # these checks refuse the same line and name its fault
+        line, prev = refused.args
+        _append_member([] if prev < 0 else [prev], _line_elements(line), n, line)
     f = SetFamily(n, masks)
     expected = _parameter_line(f)
     if lines[1] != expected:

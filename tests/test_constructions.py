@@ -2,9 +2,11 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vccover import (
     HypercubeSpec,
+    SetFamily,
     base_pairs_family,
     cone,
     covering_witness_family,
@@ -142,6 +144,17 @@ class TestProduct:
     def test_bad_factor(self):
         with pytest.raises(ValueError):
             product(make_family(2, [{1}]), 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=10).flatmap(
+        lambda n: st.tuples(st.just(n), st.sets(st.integers(min_value=0, max_value=2**n - 1), max_size=40))),
+        st.integers(min_value=1, max_value=5))
+    def test_equals_the_sorted_relabel(self, family, ell):
+        # product hands its masks to SetFamily unsorted: the relabel keeps the order.
+        n, masks = family
+        g = product(SetFamily(n, sorted(masks)), ell)
+        relabel = [mask_of((v - 1) * ell + x for v in elements_of(m) for x in range(1, ell + 1)) for m in masks]
+        assert g == SetFamily(n * ell, sorted(relabel))
 
     def test_preserves_dimension_and_covering(self, corpus):
         for name, f in corpus:

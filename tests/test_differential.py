@@ -27,7 +27,9 @@ The explore CSV is held to `csv.writer`. The text reader, which decodes
 member lines through a table of element spellings, is held to the per-line
 reader it replaced, an int() parse with a spelling round trip: on written
 and mutated files both return the same family or raise the same message,
-with slices of the default length and of a few characters. The JSON reader,
+with slices of the default length and of a few characters. Every written
+file, an empty first member included, is read by the table alone, in both
+formats, and only a refused line goes through the per-line checks. The JSON reader,
 which reads the writer's spelling through the same table, is held to its
 `json.loads` path the same way, on written files with members, elements,
 ground size, keys, spaces and trailing characters changed.
@@ -501,14 +503,16 @@ def read_outcome(reader, text):
 
 # full(22,4) as text, about 120 KB: more than one slice of the table reader.
 LONG_TEXT = write_family(full_family(22, 4))
+# The same with the empty member first.
+EMPTY_FIRST_LONG_TEXT = LONG_TEXT.replace("n=22 s=4\n", "n=22 s=mixed\n-\n", 1)
 
 
-def after_first_slice(kind: str) -> str:
-    """LONG_TEXT with the first member line of its second slice mutated."""
-    start = LONG_TEXT.index("\n", LONG_TEXT.index("\n") + 1) + 1
-    cut = LONG_TEXT.index("\n", start + family_io.SLICE) + 1
-    end = LONG_TEXT.index("\n", cut)
-    return LONG_TEXT[:cut] + mutated_line(kind, LONG_TEXT[cut:end], 22) + LONG_TEXT[end:]
+def after_first_slice(kind: str, text: str = LONG_TEXT) -> str:
+    """``text`` with the first member line of its second slice mutated."""
+    start = text.index("\n", text.index("\n") + 1) + 1
+    cut = text.index("\n", start + family_io.SLICE) + 1
+    end = text.index("\n", cut)
+    return text[:cut] + mutated_line(kind, text[cut:end], 22) + text[end:]
 
 
 @settings(max_examples=500, deadline=None)
@@ -522,6 +526,9 @@ def after_first_slice(kind: str) -> str:
 @example(after_first_slice("beyond-n"), family_io.SLICE)
 @example(LONG_TEXT[:-1], family_io.SLICE)
 @example(LONG_TEXT + "\n", family_io.SLICE)
+@example("vcfam 1\nn=3 s=mixed\n-\n-\n", family_io.SLICE)
+@example("vcfam 1\nn=3 s=0\n-\n", family_io.SLICE)
+@example(after_first_slice("descending", EMPTY_FIRST_LONG_TEXT), family_io.SLICE)
 def test_table_reader_matches_per_line_reader(text, slice_chars):
     # Slices of a few characters put a slice boundary next to every line.
     with mock.patch.object(family_io, "SLICE", slice_chars):
@@ -537,6 +544,33 @@ def test_table_reader_mutations_are_refused():
         outcome = read_outcome(read_family, mutated)
         assert isinstance(outcome, str), kind
         assert outcome == read_outcome(reference_read_family, mutated), kind
+
+
+def test_written_families_are_read_in_one_pass(corpus):
+    # Every file the writers write, with an empty first member or without,
+    # is read by the element table alone: neither the per-line checks nor
+    # json.loads run.
+    cases = []
+    for _, f in corpus:
+        cases += [f] if 0 in f.members else [f, SetFamily(f.n, (0,) + f.members)]
+    with mock.patch.object(family_io, "_line_elements", side_effect=AssertionError("per-line pass")), \
+            mock.patch("json.loads", side_effect=AssertionError("json.loads")):
+        for slice_chars in (1, 5, family_io.SLICE):
+            with mock.patch.object(family_io, "SLICE", slice_chars):
+                for f in cases:
+                    assert read_family(write_family(f)) == f
+                    assert read_family_json(write_family_json(f)) == f
+
+
+def test_a_line_refused_last_is_named_in_one_call():
+    # The table stops at the line it refuses, and the per-line checks run
+    # on that line alone.
+    last = LONG_TEXT.rindex("\n", 0, -1) + 1
+    text = LONG_TEXT[:last] + mutated_line("leading-zero", LONG_TEXT[last:-1], 22) + "\n"
+    with mock.patch.object(family_io, "_line_elements", wraps=family_io._line_elements) as line_elements:
+        outcome = read_outcome(read_family, text)
+    assert outcome == read_outcome(reference_read_family, text) == "non-canonical member line '019 20 21 22'"
+    assert line_elements.call_count == 1
 
 
 def reference_json(f) -> str:
@@ -635,9 +669,6 @@ def test_json_reader_matches_json_loads(text, slice_chars):
 @given(families(), st.sampled_from(["", "\n"]))
 def test_canonical_json_is_read_without_json_loads(f, end):
     text = write_family_json(f) + end
-    if not f.members or 0 in f.members:  # no "[[" to start at, or "[]", which the table refuses
-        assert read_family_json(text) == f
-        return
     with mock.patch("vccover.families_json._loaded_family", side_effect=AssertionError(text)):
         assert read_family_json(text) == f
     with mock.patch.object(family_io, "SLICE", 0):

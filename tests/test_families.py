@@ -312,12 +312,12 @@ class TestEnumerateSubsets:
         assert sum(1 for _ in enumerate_subsets(10, 5)) == factorial_binomial(10, 5)
 
     def test_size_out_of_range(self):
-        # enumerate_subsets checks the size itself, so the enumerator's own
-        # check runs only when it is called directly.
-        for enumerate_, r in [(enumerate_subsets, 4), (iter_fixed_size_masks, 4),
-                              (iter_fixed_size_masks, -1)]:
+        # iter_fixed_size_masks checks the size at the call, before any
+        # iteration, and enumerate_subsets leaves the check to it.
+        for enumerate_, r in [(enumerate_subsets, 4), (enumerate_subsets, -1),
+                              (iter_fixed_size_masks, 4), (iter_fixed_size_masks, -1)]:
             with pytest.raises(ValueError, match="out of range for ground size 3"):
-                list(enumerate_(3, r))
+                enumerate_(3, r)
 
     def test_counts_and_order_small_grid(self):
         # Exhaustive: every n <= 12, every r; exactly C(n,r) distinct masks,
