@@ -76,6 +76,26 @@ def iter_fixed_size_masks(n: int, r: int) -> Iterator[int]:
     return gosper()
 
 
+def transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The columns of a bit matrix: bit j of column i is bit i of rows[j].
+
+    Every row must lie below ``1 << width``. Built by string transpose, 256
+    rows at a time: the chunk's rows, highest index first, are spelled as
+    one string of ``bin(row | 1 << width)``, so one strided slice from
+    offset width+2-i and ``int(..., 2)`` read the chunk's bits of column i,
+    kept as 32 little-endian bytes at offset 32*i of the chunk's bytes.
+    Column i joins its 32 bytes of every chunk into one int, so the work is
+    linear in the matrix's size and no buffer per column is kept.
+    """
+    flag, stride, chunks = 1 << width, width + 3, []
+    for start in range(0, len(rows), 256):
+        spelled = "".join([bin(row | flag) for row in reversed(rows[start : start + 256])])
+        chunks.append(b"".join([int(spelled[width + 2 - i :: stride], 2).to_bytes(32, "little")
+                                for i in range(width)]))
+    return tuple([int.from_bytes(b"".join([chunk[32 * i : 32 * i + 32] for chunk in chunks]), "little")
+                  for i in range(width)])
+
+
 def iter_submasks(mask: int, r: int) -> Iterator[int]:
     """Yield the r-subsets of `mask` in increasing integer order."""
     positions = elements_of(mask)

@@ -22,7 +22,7 @@ import operator
 from collections import namedtuple
 from typing import Iterable, Iterator
 
-from .bitsets import check_ground, elements_of, iter_fixed_size_masks, mask_of
+from .bitsets import check_ground, elements_of, iter_fixed_size_masks, mask_of, transpose
 
 FORMAT_HEADER = "vcfam 1"
 DEFAULT_CAP = 24
@@ -120,25 +120,11 @@ def incidence_columns(f: SetFamily) -> tuple[int, ...]:
     any kernel, returns the same tuple.
     ``columns[i]`` is the bitset of member indices whose member contains
     element i+1 (bit j stands for ``f.members[j]``). The AND of the columns
-    of a set A is then the set of members containing A. Built by string
-    transpose, 256 members at a time: the chunk's members, highest index
-    first, are spelled as one string of ``bin(m | 1 << n)`` rows, so element
-    i+1 is the character at offset n+2-i of each row. One strided slice reads
-    that character for the whole chunk, ``int(..., 2)`` makes it the chunk's
-    256 column bits, and they append to the column's byte buffer as 32
-    little-endian bytes. Each buffer becomes one int at the end, so the work
-    is linear in the member count and no per-chunk int outlives its chunk.
+    of a set A is then the set of members containing A: the members' bit
+    matrix transposed by ``bitsets.transpose``.
     """
-    if f._columns is not None:
-        return f._columns
-    n, members = f.n, f.members
-    flag, width = 1 << n, n + 3
-    buffers = [bytearray() for _ in range(n)]
-    for start in range(0, len(members), 256):
-        rows = "".join([bin(m | flag) for m in reversed(members[start : start + 256])])
-        for i, buf in enumerate(buffers):
-            buf += int(rows[n + 2 - i :: width], 2).to_bytes(32, "little")
-    object.__setattr__(f, "_columns", tuple(int.from_bytes(buf, "little") for buf in buffers))
+    if f._columns is None:
+        object.__setattr__(f, "_columns", transpose(f.members, f.n))
     return f._columns
 
 

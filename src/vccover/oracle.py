@@ -27,12 +27,12 @@ covering the node can still reach, so the search meets solutions in the
 same order as the plain DFS and returns the same witness; only the node
 count falls.
 
-One `_Search` per (k, s, n) serves both routes. Its universe family,
-coverage table and candidate bitmaps are built once, after the cap check,
-for every d; the bitmaps and the power-set walk read the family's own
-incidence table. Only the pattern words are built per d, each member's word
-as one binary string read by one `int(..., 2)`, and `search(d)` runs the
-whole search for that d, building its orbit maps as it goes.
+One `_Search` per (k, s, n) serves both routes. Its universe family and
+k-set table are built once, after the cap check, for every d: the
+candidate bitmaps from the family's incidence table, the coverage table as
+their transpose. Only the pattern words are built per d, each member's
+word as one binary string read by one `int(..., 2)`, and `search(d)` runs
+the whole search for that d, building its orbit maps as it goes.
 
 Both routes are sequential and deterministic: branches and subfamilies run
 in canonical order, so value, witness and node count never depend on the
@@ -46,7 +46,7 @@ from functools import reduce
 from operator import and_
 from typing import NamedTuple
 
-from .bitsets import elements_of, iter_fixed_size_masks, iter_submasks, spread
+from .bitsets import elements_of, iter_fixed_size_masks, spread, transpose
 from .families import (
     DEFAULT_CAP,
     DEFAULT_ENUM_CAP,
@@ -124,11 +124,11 @@ class _Search:
 
     The constructor checks the cap, then builds everything that does not
     depend on d once per triple: `full`, the family of all s-sets, whose
-    members are `universe`; `coverage_of[j]`, the bitmap of the k-sets
-    inside universe[j], as the OR of their index bits over `iter_submasks`;
-    `candidates_for[i]`, the bitmap of the members holding k-set i, as the
-    AND of its elements' columns in `full`'s incidence table, the rule
-    `covering.py` uses. `bound` is min(s, n - s), above which no
+    members are `universe`; `candidates_for[i]`, the bitmap of the members
+    holding the i-th k-set in colex order, as the AND of its elements'
+    columns in `full`'s incidence table, the rule `covering.py` uses; and
+    `coverage_of[j]`, the bitmap of the k-sets inside universe[j], as that
+    table transposed. `bound` is min(s, n - s), above which no
     subfamily's VC-dimension can lie, and `family(selector)` the subfamily
     whose universe indices are the selector's bits. `search(d)` builds its d's
     pattern words (`_pattern_words`) and runs the DFS; `nodes` counts the
@@ -181,12 +181,11 @@ class _Search:
         self.bound = min(s, n - s)
         self.full = SetFamily(n, iter_fixed_size_masks(n, s))
         self.universe = self.full.members
-        bit_of = {a: 1 << i for i, a in enumerate(iter_fixed_size_masks(n, k))}
-        self.all_covered = (1 << len(bit_of)) - 1
-        self.coverage_of = [sum(bit_of[a] for a in iter_submasks(m, k)) for m in self.universe]
         columns = incidence_columns(self.full)
         self.candidates_for = [reduce(and_, [columns[e - 1] for e in elements_of(a)])
-                               for a in bit_of]
+                               for a in iter_fixed_size_masks(n, k)]
+        self.all_covered = (1 << len(self.candidates_for)) - 1
+        self.coverage_of = transpose(self.candidates_for, len(self.universe))
         self.nodes = 0
 
     def family(self, selector: int) -> SetFamily:
@@ -273,29 +272,24 @@ def _oracle_enumerate(search: _Search) -> tuple[int, SetFamily, int]:
     """Minimum over all covering subfamilies by full power-set enumeration.
 
     Walks every nonempty subfamily of the universe of `search`, in selector
-    order, keeps the covering ones by its coverage table, and makes one
-    call of the VC walk of `vc_dimension` on each: the walk takes
-    `search.full`, the selector as its cell and `search.bound` as its
-    bound, so no subfamily gets a family or a table of its own. The walk
-    derives the cell's active elements and counting cap itself. Returns the
-    minimum, the family of its first selector, and the count of
-    subfamilies examined, all 2^|universe| - 1 of them. The walk never
-    stops early: a covering family of VC-dimension 0 has one member, [n],
-    so it occurs only when s = n and the universe is that one member.
+    order, keeps the covering ones, which meet every k-set's candidate
+    bitmap, and makes one call of the VC walk of `vc_dimension` on each:
+    the walk takes `search.full`, the selector as its cell and
+    `search.bound` as its bound, so no subfamily gets a family or a table
+    of its own. The walk derives the cell's active elements and counting
+    cap itself. Returns the minimum, the family of its first selector, and
+    the count of subfamilies examined, all 2^|universe| - 1 of them. The
+    walk never stops early: a covering family of VC-dimension 0 has one
+    member, [n], so it occurs only when s = n and the universe is that one
+    member.
     """
     # Imported here, so the branch-and-bound route never loads vccover.vc.
     from .vc import _shattered_walk
 
-    full, coverage_of = search.full, search.coverage_of
+    full, candidates_for = search.full, search.candidates_for
     best = best_selector = None
     for selector in range(1, 1 << len(full)):
-        covered = 0
-        sel = selector
-        while sel:
-            low = sel & -sel
-            covered |= coverage_of[low.bit_length() - 1]
-            sel ^= low
-        if covered != search.all_covered:
+        if not all(map(selector.__and__, candidates_for)):
             continue
         value = len(_shattered_walk(full, selector, search.bound)) - 1
         if best is None or value < best:

@@ -17,11 +17,14 @@ under every permutation that fixes the chosen members. The `check ufp`
 command is held to the face reference too: its text verdict, which stops
 at the first member without a face, must name the reference's violator,
 and its JSON must be the full `unique_face` report. The incidence table is
-held to the element-by-member scan and the JSON writer to `json.dumps`.
+held to the element-by-member scan, the transpose that builds it to the
+bit-by-bit definition on random matrices, and the JSON writer to
+`json.dumps`.
 Property 3 of the recursive family, checked one lowering step per member,
 is held to the scan of every lowered top value. The oracle's packed kernel
 is held to the plain definitions too: its coverage and candidate tables to
-subset tests, each pattern word to the trace of its member on every probe,
+subset tests, past one transpose chunk too, the power-set route's covering
+test to the OR of the coverage table, each pattern word to the trace of its member on every probe,
 and the one-add shattering test to `vc_dimension` on random subfamilies.
 The explore CSV is held to `csv.writer`. The text reader, which decodes
 member lines through a table of element spellings, is held to the per-line
@@ -61,7 +64,14 @@ from vccover import (
     write_family,
 )
 from vccover import reader as family_io
-from vccover.bitsets import elements_of, full_mask, iter_fixed_size_masks, iter_submasks, spread
+from vccover.bitsets import (
+    elements_of,
+    full_mask,
+    iter_fixed_size_masks,
+    iter_submasks,
+    spread,
+    transpose,
+)
 from vccover.cli import main
 from vccover.covering import first_faceless
 from vccover.constructions import covering_witness_family, full_family
@@ -399,6 +409,21 @@ def test_incidence_columns_across_chunk_boundaries():
     for members in ((), (0,), (1,), (0, 1)):
         f = SetFamily(1, members)
         assert incidence_columns(f) == reference_columns(f), members
+
+
+def test_transpose_matches_the_bit_by_bit_definition():
+    # Row counts on both sides of one and two chunk edges, and widths up to
+    # and past the ground-size ceiling, as the oracle's coverage table is
+    # its candidate table transposed, one column per universe member.
+    rng = random.Random(35)
+    for count in (0, 1, 255, 256, 257, 513):
+        for width in (1, 7, 256, 257, 600):
+            rows = [rng.getrandbits(width) & rng.getrandbits(width) for _ in range(count)]
+            if rows:
+                rows[-1] = (1 << width) - 1
+            expected = tuple(sum(1 << j for j, row in enumerate(rows) if row >> i & 1)
+                             for i in range(width))
+            assert transpose(rows, width) == expected, (count, width)
 
 
 def reference_append_member(masks, elements, n, raw) -> None:
@@ -948,6 +973,38 @@ def test_oracle_tables_match_subset_definitions():
             holders = {j for j, member in enumerate(search.universe) if a & member == a}
             assert {j for j in range(len(search.universe))
                     if search.candidates_for[i] >> j & 1} == holders, (k, s, n, i)
+
+
+def test_oracle_tables_match_subset_definitions_past_one_chunk():
+    # More than 256 k-sets, so the coverage table's transpose spans two chunks.
+    for k, s, n in ((2, 23, 24), (3, 11, 13)):
+        search = _Search(Parameters(k, s, n), math.comb(n, s))
+        k_sets = list(iter_fixed_size_masks(n, k))
+        assert len(k_sets) > 256 and search.all_covered == (1 << len(k_sets)) - 1
+        for j, member in enumerate(search.universe):
+            assert search.coverage_of[j] == sum(
+                1 << i for i, a in enumerate(k_sets) if a & member == a), (k, s, n, j)
+        for i, a in enumerate(k_sets):
+            assert search.candidates_for[i] == sum(
+                1 << j for j, member in enumerate(search.universe) if a & member == a), (k, s, n, i)
+
+
+def test_enumeration_covering_test_matches_the_coverage_or():
+    # The power-set route keeps a selector when it meets every candidate
+    # bitmap; the definition ORs the coverage of its members.
+    cases = 0
+    for (k, s, n), search in small_universes():
+        if len(search.universe) > 10:
+            continue
+        for selector in range(1 << len(search.universe)):
+            covered = 0
+            for j, coverage in enumerate(search.coverage_of):
+                if selector >> j & 1:
+                    covered |= coverage
+            assert all(map(selector.__and__, search.candidates_for)) == (
+                covered == search.all_covered), (k, s, n, selector)
+            cases += 1
+    assert cases > 1000
 
 
 def test_pattern_words_set_each_probe_trace_bit():
